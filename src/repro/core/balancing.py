@@ -75,11 +75,12 @@ class JoinShortestQueue(LoadBalancer):
     name = "jsq"
 
     def _pick(self, frame: Frame, vris: Sequence[VriLike], now: float) -> VriLike:
-        best = vris[0]
-        best_load = best.load_estimate()
-        for vri in vris[1:]:
+        # First lowest estimate wins; no ``vris[1:]`` copy per frame.
+        best = None
+        best_load = 0.0
+        for vri in vris:
             load = vri.load_estimate()
-            if load < best_load:
+            if best is None or load < best_load:
                 best, best_load = vri, load
         return best
 

@@ -23,7 +23,7 @@ import itertools
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.allocation import CoreAllocator, DynamicFixedThresholds
 from repro.core.balancing import make_balancer
@@ -353,6 +353,16 @@ class Lvrm:
                                     period=config.allocation_period,
                                     obs_labels=self.obs_labels)
         self._vri_monitors: List[VriMonitor] = []
+        #: :meth:`all_vris` result, rebuilt after any VRI list changes
+        #: (each VriMonitor reports its creates and removals).
+        self._vris: Optional[Tuple[VriRuntime, ...]] = None
+        #: What an idle park arms (see :meth:`_arm_wakes`): the NICs of a
+        #: NIC-fronting capture, else a push-based capture's
+        #: ``set_notify`` hook (repro.cluster's VIP capture), else nothing.
+        self._nics = capture.nics if isinstance(capture, _NicBackend) \
+            else None
+        self._set_notify = None if self._nics is not None \
+            else getattr(capture, "set_notify", None)
         #: Fires when a memory-trace run has fully drained.
         self.done = sim.event()
         #: Experiment hooks called as ``fn(frame, now)`` on each transmit.
@@ -399,8 +409,10 @@ class Lvrm:
             lvrm_core_id=self.config.lvrm_core,
             queue_capacity=self.config.queue_capacity,
             rng_registry=self.rng, on_output=self._notify,
-            memory_budget=memory_budget, obs_labels=self.obs_labels)
+            memory_budget=memory_budget, obs_labels=self.obs_labels,
+            on_vris_changed=self._vris_changed)
         self._vri_monitors.append(monitor)
+        self._vris_changed()
         self.vr_monitor.add_vr(monitor, allocator)
         self.stats.forwarded_by_vr[spec.name] = 0
         return monitor
@@ -415,8 +427,18 @@ class Lvrm:
             self._supervisor = self.sim.process(self._supervise())
 
     # -- introspection ----------------------------------------------------------------
-    def all_vris(self) -> List[VriRuntime]:
-        return [v for m in self._vri_monitors for v in m.vris]
+    def all_vris(self) -> Tuple[VriRuntime, ...]:
+        """Every live VRI, VR by VR in hosting order, each VR's in
+        creation order.  Cached between VRI list changes; the main loop
+        reads it several times per iteration."""
+        vris = self._vris
+        if vris is None:
+            vris = self._vris = tuple(
+                v for m in self._vri_monitors for v in m.vris)
+        return vris
+
+    def _vris_changed(self) -> None:
+        self._vris = None
 
     def find_vri(self, vri_id: int) -> Optional[VriRuntime]:
         for vri in self.all_vris():
@@ -542,38 +564,39 @@ class Lvrm:
             wake()
 
     def _arm_wakes(self, wake_cb: Callable[[], None]) -> None:
+        # VRI output needs no arming of its own: a VRI calls
+        # ``on_output`` (= :meth:`_notify`) right after every push to
+        # its outgoing data or control queue, and nothing else pushes
+        # there.  The queues are empty whenever the loop parks (it
+        # scanned them with no yield since), so only the capture side
+        # can already hold work.
         self._wake = wake_cb
-        if isinstance(self.capture, _NicBackend):
-            for nic in self.capture.nics:
+        nics = self._nics
+        if nics is not None:
+            backlog = False
+            for nic in nics:
                 nic.notify = wake_cb
-            if self.capture.backlog() > 0:
+                if nic.rx_ring.items:
+                    backlog = True
+            if backlog:
                 # A frame slipped in before arming: don't sleep on it.
                 wake_cb()
-        else:
+        elif self._set_notify is not None:
             # Push-based backends (repro.cluster's VIP capture) expose
             # the same notify contract as a NIC queue, duck-typed so the
             # capture layer needn't know about this loop.
-            set_notify = getattr(self.capture, "set_notify", None)
-            if set_notify is not None:
-                set_notify(wake_cb)
-                if self.capture.backlog() > 0:
-                    wake_cb()
-        for vri in self.all_vris():
-            vri.channels.data_out.set_wake(wake_cb)
-            vri.channels.ctrl_out.set_wake(wake_cb)
+            self._set_notify(wake_cb)
+            if self.capture.backlog() > 0:
+                wake_cb()
 
     def _disarm_wakes(self) -> None:
         self._wake = None
-        if isinstance(self.capture, _NicBackend):
-            for nic in self.capture.nics:
+        nics = self._nics
+        if nics is not None:
+            for nic in nics:
                 nic.notify = None
-        else:
-            set_notify = getattr(self.capture, "set_notify", None)
-            if set_notify is not None:
-                set_notify(None)
-        for vri in self.all_vris():
-            vri.channels.data_out.clear_wake()
-            vri.channels.ctrl_out.clear_wake()
+        elif self._set_notify is not None:
+            self._set_notify(None)
 
     # -- drain detection (memory-trace runs) ----------------------------------------------
     def _fully_drained(self) -> bool:
@@ -610,86 +633,70 @@ class Lvrm:
         self._ctrl_delay_count = count
 
     # -- loop steps ----------------------------------------------------------------------
-    def _relay_control(self):
-        """Relay one pending control event, if any (priority path)."""
-        for vri in self.all_vris():
-            event = vri.channels.ctrl_out.try_pop()
-            if event is None:
-                continue
-            pop_cost = self.costs.ipc_ctrl_cost(event.size, vri.cross_socket)
-            dst = self.find_vri(event.dst_vri)
-            push_cost = 0.0
-            if dst is not None:
-                push_cost = self.costs.ipc_ctrl_cost(event.size,
-                                                     dst.cross_socket)
-            if self._ctrl_delay_count > 0:
-                # Injected control-plane latency (repro.faults).
-                self._ctrl_delay_count -= 1
-                pop_cost += self._ctrl_delay
-            yield from self.core.execute(pop_cost + push_cost, owner=self,
-                                         time_class="us")
-            if dst is not None:
-                dst.channels.ctrl_in.try_push(event)
-                self.stats.ctrl_relayed += 1
-                if _TRACE.enabled:
-                    _TRACE.instant("ctrl.relay", ts=self.sim.now, cat="ctrl",
-                                   track="lvrm", src=event.src_vri,
-                                   dst=event.dst_vri, kind=event.kind)
-            return True
-        return False
+    # The main loop finds the work (a control event, a captured frame, an
+    # outgoing frame) and enters one of these generators only when there
+    # is some: an empty poll costs no generator.
+    def _relay_control(self, vri: VriRuntime, event: ControlEvent):
+        """Relay one control event popped from ``vri`` (priority path)."""
+        pop_cost = self.costs.ipc_ctrl_cost(event.size, vri.cross_socket)
+        dst = self.find_vri(event.dst_vri)
+        push_cost = 0.0
+        if dst is not None:
+            push_cost = self.costs.ipc_ctrl_cost(event.size,
+                                                 dst.cross_socket)
+        if self._ctrl_delay_count > 0:
+            # Injected control-plane latency (repro.faults).
+            self._ctrl_delay_count -= 1
+            pop_cost += self._ctrl_delay
+        yield from self.core.execute(pop_cost + push_cost, owner=self,
+                                     time_class="us")
+        if dst is not None:
+            dst.channels.ctrl_in.try_push(event)
+            self.stats.ctrl_relayed += 1
+            if _TRACE.enabled:
+                _TRACE.instant("ctrl.relay", ts=self.sim.now, cat="ctrl",
+                               track="lvrm", src=event.src_vri,
+                               dst=event.dst_vri, kind=event.kind)
 
-    def _transmit_one(self):
-        """Drain one frame from some VRI's outgoing data queue."""
-        vris = self.all_vris()
-        n = len(vris)
-        for offset in range(n):
-            vri = vris[(self._out_rr + offset) % n]
-            frame = vri.channels.data_out.try_pop()
-            if frame is None:
-                continue
-            self._out_rr = (self._out_rr + offset + 1) % n
-            # One execute per frame: the queue pop is charged together
-            # with the transmit under the tx CPU class (the pop is tiny;
-            # keeping event count low matters for multi-million-frame
-            # runs — see the HPC guide's per-event-overhead advice).
-            pop_cost = self.costs.ipc_data_cost(frame.size, vri.cross_socket)
-            tx_cost = self.capture.tx_cost(frame)
-            yield from self.core.execute(pop_cost + tx_cost, owner=self,
-                                         time_class=self.capture.tx_time_class)
-            if self.capture.transmit(frame):
-                self.stats.forwarded += 1
-                self.stats.forwarded_by_vr[vri.vr_name] = \
-                    self.stats.forwarded_by_vr.get(vri.vr_name, 0) + 1
-                if self.config.record_latency:
-                    self.stats.latency.record(self.sim.now,
-                                              self.sim.now - frame.t_created)
-                if frame.span is not None and len(frame.span) == 4:
-                    # All four stamps present: close the latency span
-                    # (partial stamps mean the frame was dropped along
-                    # the way and attribution would be meaningless).
-                    self.spans.record_stamps(*frame.span, self.sim.now,
-                                             vri_id=vri.vri_id,
-                                             vr=vri.vr_name)
-                if _TRACE.enabled:
-                    _TRACE.instant("frame.tx", ts=self.sim.now, cat="frame",
-                                   track="lvrm", vr=vri.vr_name,
-                                   vri=vri.vri_id)
-                for hook in self.on_forward:
-                    hook(frame, self.sim.now)
-            else:
-                self.stats.dropped_tx += 1
-                if _TRACE.enabled:
-                    _TRACE.instant("frame.drop", ts=self.sim.now,
-                                   cat="frame", track="lvrm", reason="tx",
-                                   vri=vri.vri_id)
-            return True
-        return False
+    def _transmit_one(self, vri: VriRuntime, frame: Frame):
+        """Transmit one frame popped from ``vri``'s outgoing data queue."""
+        # One execute per frame: the queue pop is charged together
+        # with the transmit under the tx CPU class (the pop is tiny;
+        # keeping event count low matters for multi-million-frame
+        # runs — see the HPC guide's per-event-overhead advice).
+        pop_cost = self.costs.ipc_data_cost(frame.size, vri.cross_socket)
+        tx_cost = self.capture.tx_cost(frame)
+        yield from self.core.execute(pop_cost + tx_cost, owner=self,
+                                     time_class=self.capture.tx_time_class)
+        now = self.sim.now
+        if self.capture.transmit(frame):
+            self.stats.forwarded += 1
+            self.stats.forwarded_by_vr[vri.vr_name] = \
+                self.stats.forwarded_by_vr.get(vri.vr_name, 0) + 1
+            if self.config.record_latency:
+                self.stats.latency.record(now, now - frame.t_created)
+            if frame.span is not None and len(frame.span) == 4:
+                # All four stamps present: close the latency span
+                # (partial stamps mean the frame was dropped along
+                # the way and attribution would be meaningless).
+                self.spans.record_stamps(*frame.span, now,
+                                         vri_id=vri.vri_id, vr=vri.vr_name)
+            if _TRACE.enabled:
+                _TRACE.instant("frame.tx", ts=now, cat="frame",
+                               track="lvrm", vr=vri.vr_name,
+                               vri=vri.vri_id)
+            for hook in self.on_forward:
+                hook(frame, now)
+        else:
+            self.stats.dropped_tx += 1
+            if _TRACE.enabled:
+                _TRACE.instant("frame.drop", ts=now,
+                               cat="frame", track="lvrm", reason="tx",
+                               vri=vri.vri_id)
 
-    def _capture_one(self):
-        """Capture, classify, (maybe) allocate, balance, dispatch."""
-        frame = self.capture.poll()
-        if frame is None:
-            return False
+    def _capture_one(self, frame: Frame):
+        """Classify, (maybe) allocate, balance, dispatch one captured
+        frame."""
         rx_cost = self.capture.rx_cost(frame)
         yield from self.core.execute(rx_cost, owner=self,
                                      time_class=self.capture.rx_time_class)
@@ -710,7 +717,7 @@ class Lvrm:
                 _TRACE.instant("frame.drop", ts=self.sim.now, cat="frame",
                                track="lvrm", reason="no_vr",
                                src_ip=frame.src_ip)
-            return True
+            return
         if self.overload is not None:
             # Admission fronts the monitor: a shed frame pays only the
             # classify cost (the stage reuses the 5-tuple read) and
@@ -725,7 +732,7 @@ class Lvrm:
                     _TRACE.instant("frame.shed", ts=self.sim.now,
                                    cat="frame", track="lvrm",
                                    src_ip=frame.src_ip)
-                return True
+                return
         monitor.record_arrival(self.sim.now)
         vri = monitor.pick(frame, self.sim.now)
         # Classify + balance + enqueue charged as one execution (the
@@ -757,7 +764,6 @@ class Lvrm:
             self.stats.c_dispatched.inc()
         else:
             self.stats.drop_queue_full.inc()
-        return True
 
     def _dispatch_charge(self, cost: float) -> float:
         """Monitor-side charge for one frame's dispatch work under the
@@ -974,12 +980,41 @@ class Lvrm:
         for monitor in self._vri_monitors:
             yield from self.vr_monitor.start_vr(monitor.spec.name)
 
+        # The queue scans below test a SimIpcQueue's deque (``_items``)
+        # before popping: they run for every VRI on every iteration,
+        # where a pop call per empty queue is a measurable share of the
+        # whole simulation.
+        capture = self.capture
         while True:
-            progress = yield from self._relay_control()
-            if not progress:
-                progress = yield from self._capture_one()
-                # Interleave: try to push one frame out per frame in.
-                progress = (yield from self._transmit_one()) or progress
+            # 1. Relay one control event: priority over data.
+            relayed = False
+            for vri in self.all_vris():
+                ctrl_out = vri.channels.ctrl_out
+                if ctrl_out._items:
+                    yield from self._relay_control(vri, ctrl_out.try_pop())
+                    relayed = True
+                    break
+            if relayed:
+                continue
+
+            # 2. Capture one frame, then (interleaved) transmit one.
+            frame = capture.poll()
+            progress = frame is not None
+            if progress:
+                yield from self._capture_one(frame)
+            # Re-read: an allocation pass inside the capture may have
+            # created or destroyed VRIs.
+            vris = self.all_vris()
+            n = len(vris)
+            out_rr = self._out_rr
+            for offset in range(n):
+                vri = vris[(out_rr + offset) % n]
+                data_out = vri.channels.data_out
+                if data_out._items:
+                    self._out_rr = (out_rr + offset + 1) % n
+                    yield from self._transmit_one(vri, data_out.try_pop())
+                    progress = True
+                    break
             if progress:
                 continue
 
@@ -998,13 +1033,13 @@ class Lvrm:
                     wake.succeed()
 
             self._arm_wakes(_wake)
-            if self.capture.exhausted:
+            if capture.exhausted:
                 if not self.done.triggered:
                     # Input is gone but frames are still in flight: poll
                     # periodically for the drain condition.
                     self.sim.call_in(20e-6, _wake)
             else:
-                delay = self.capture.next_available_delay()
+                delay = capture.next_available_delay()
                 if delay is not None:
                     # Paced trace source: wake when its next frame is due.
                     self.sim.call_in(max(delay, 1e-9), _wake)

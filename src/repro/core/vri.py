@@ -271,12 +271,14 @@ class VriRuntime:
                                    vr=self.vr_name, vri=self.vri_id,
                                    qlen=ch.data_in.data_count)
                 t_pop = sim.now
-                pop = costs.ipc_data_cost(frame.size, self.cross_socket)
+                # The push costs what the pop does (same frame, same
+                # queue pair), bit for bit.
+                pop = push = costs.ipc_data_cost(frame.size,
+                                                 self.cross_socket)
                 service = (self.router.service_time(frame, costs)
                            * self._service_multiplier()
                            * self.slow_factor
                            + self.per_frame_penalty)
-                push = costs.ipc_data_cost(frame.size, self.cross_socket)
                 # pop + process + push charged in one execution: one
                 # timer event per frame instead of three (the HPC
                 # guides' per-event overhead rule); ordering of the

@@ -39,7 +39,8 @@ class VriMonitor:
                  queue_capacity: int, rng_registry,
                  on_output: Callable[[], None],
                  memory_budget=None,
-                 obs_labels: Optional[Dict[str, str]] = None):
+                 obs_labels: Optional[Dict[str, str]] = None,
+                 on_vris_changed: Optional[Callable[[], None]] = None):
         self.sim = sim
         self.spec = spec
         self.machine = machine
@@ -54,6 +55,9 @@ class VriMonitor:
         #: beyond the budget fails like core exhaustion does.
         self.memory_budget = memory_budget
         self.vris: List[VriRuntime] = []
+        #: Called after every change to :attr:`vris` (the owning Lvrm
+        #: caches the concatenation of its monitors' lists).
+        self._on_vris_changed = on_vris_changed
         #: Monotone count of VRIs this monitor has ever spawned; names
         #: the per-VRI RNG streams.  Deliberately *local* (unlike the
         #: global vri_id): repeated identical experiments in the same
@@ -130,6 +134,8 @@ class VriMonitor:
             vri.producer_penalty = self.costs.kernel_sched_penalty
         vri.placement = placement
         self.vris.append(vri)
+        if self._on_vris_changed is not None:
+            self._on_vris_changed()
         if _TRACE.enabled:
             _TRACE.instant("core.allocate", ts=self.sim.now, cat="alloc",
                            track="lvrm", vr=self.spec.name, vri=vri_id,
@@ -169,6 +175,8 @@ class VriMonitor:
         entries were unpinned (0 for frame-based balancing).
         """
         self.vris.remove(vri)
+        if self._on_vris_changed is not None:
+            self._on_vris_changed()
         # data_in fault drops only: an outgoing-slot drop is already in
         # ``processed`` (the VRI's push "succeeded" before it vanished).
         self.retired_completed += (vri.processed + vri.dropped_no_route

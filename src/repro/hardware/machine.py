@@ -62,9 +62,13 @@ class Core:
             raise ValueError(f"negative execution duration: {duration}")
         if time_class not in CPU_TIME_CLASSES:
             raise ValueError(f"unknown CPU time class {time_class!r}")
-        token = self._resource.acquire_nowait()
-        if token is not None:
+        resource = self._resource
+        if not resource.users and not resource._waiters:
             # Uncontended fast path: one timer event instead of three.
+            # Resource.acquire_nowait() inlined for this capacity-1
+            # resource, with the core itself as the token — this runs
+            # for every frame on every core.
+            resource.users.append(self)
             try:
                 total = duration
                 if owner is not None and self._last_owner is not None \
@@ -77,7 +81,7 @@ class Core:
                     yield self.sim.sleep(total)
                 self.busy[time_class] += total
             finally:
-                self._resource.release_nowait(token)
+                resource.release_nowait(self)
             return
         req = self._resource.request()
         yield req

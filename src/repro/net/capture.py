@@ -80,13 +80,16 @@ class _NicBackend(CaptureBackend):
 
     def poll(self) -> Optional[Frame]:
         """Round-robin poll across interfaces, one ring pop per call."""
-        n = len(self.nics)
+        nics = self.nics
+        n = len(nics)
+        start = self._next_nic
         for offset in range(n):
-            nic = self.nics[(self._next_nic + offset) % n]
-            frame = nic.poll()
-            if frame is not None:
-                self._next_nic = (self._next_nic + offset + 1) % n
-                return frame
+            nic = nics[(start + offset) % n]
+            # An empty ring is skipped without the pop call (which would
+            # return None for it anyway).
+            if nic.rx_ring.items:
+                self._next_nic = (start + offset + 1) % n
+                return nic.poll()
         return None
 
     def backlog(self) -> int:

@@ -47,5 +47,8 @@ class Host:
         if self.tx_link is None:
             raise RuntimeError(f"host {self.name!r} has no tx link")
         self.tx_count += 1
-        self.sim.call_in(self.costs.host_stack_latency,
-                         lambda f=frame: self.tx_link.send(f))
+        self.sim.call_in(self.costs.host_stack_latency, self._transmit,
+                         arg=frame)
+
+    def _transmit(self, frame: Frame) -> None:
+        self.tx_link.send(frame)  # type: ignore[union-attr]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TopologyError
-from repro.net.addresses import in_subnet
+from repro.net.addresses import subnet_of
 from repro.net.frame import Frame
 from repro.net.link import Link
 from repro.sim.engine import Simulator
@@ -27,8 +27,9 @@ class Switch:
         self.name = name
         #: port id -> outgoing link
         self._ports: Dict[int, Link] = {}
-        #: (network, prefix_len) -> port id, longest prefix wins
-        self._routes: List[Tuple[int, int, int]] = []
+        #: (prefix_len, mask, masked network, port id), longest prefix
+        #: first: a lookup is one AND and compare per route.
+        self._routes: List[Tuple[int, int, int, int]] = []
         self.forwarded = 0
         self.unroutable = 0
 
@@ -42,13 +43,14 @@ class Switch:
         if port not in self._ports:
             raise TopologyError(
                 f"switch {self.name}: route references unattached port {port}")
-        self._routes.append((network, prefix_len, port))
+        mask = subnet_of(0xFFFFFFFF, prefix_len)
+        self._routes.append((prefix_len, mask, network & mask, port))
         # Keep longest prefixes first so the scan finds the best match.
-        self._routes.sort(key=lambda r: -r[1])
+        self._routes.sort(key=lambda r: -r[0])
 
     def port_for(self, dst_ip: int) -> Optional[int]:
-        for network, plen, port in self._routes:
-            if in_subnet(dst_ip, network, plen):
+        for _plen, mask, network, port in self._routes:
+            if dst_ip & mask == network:
                 return port
         return None
 

@@ -173,6 +173,9 @@ class SpanRecorder:
         self.recorded = 0
         self._tick = 0
         self._hists: Dict[str, object] = {}
+        #: The five ``frame_latency_seconds`` histograms :meth:`record`
+        #: feeds, in PHASES-then-total order (resolved on first use).
+        self._phase_hists: Optional[Tuple] = None
 
     @property
     def enabled(self) -> bool:
@@ -215,9 +218,17 @@ class SpanRecorder:
         return hist
 
     def record(self, span: FrameSpan) -> None:
-        for phase, dur in span.phases().items():
-            self._hist(phase).observe(max(0.0, dur))
-        self._hist("total").observe(max(0.0, span.total))
+        hists = self._phase_hists
+        if hists is None:
+            # Resolved on the first span, in PHASES-then-total order
+            # (registration stays lazy: no span, no histogram family).
+            hists = self._phase_hists = tuple(
+                self._hist(phase) for phase in PHASES + ("total",))
+        durations = (span.dispatch, span.ring_wait, span.service,
+                     span.drain, span.total)
+        for hist, dur in zip(hists, durations):
+            # max(0.0, dur), spelled out: negatives (and -0.0) read 0.0.
+            hist.observe(dur if dur > 0.0 else 0.0)
         self.recent.append(span)
         self.recorded += 1
         if TRACER.enabled:

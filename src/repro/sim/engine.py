@@ -154,6 +154,40 @@ class _PooledTimeout(Event):
     __slots__ = ()
 
 
+#: ``_Call.arg`` when the callback takes no argument.
+_NO_ARG = object()
+
+
+class _Call(Event):
+    """The event behind :meth:`Simulator.call_at`: runs ``fn()`` (or
+    ``fn(arg)``) and then any callbacks added to it.
+
+    Holding the callable directly spares each scheduled call a wrapper
+    lambda and a one-element callback list.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, sim: "Simulator", fn: Callable, arg: Any):
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.fn = fn
+        self.arg = arg
+
+    def _process(self) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        arg = self.arg
+        if arg is _NO_ARG:
+            self.fn()
+        else:
+            self.fn(arg)
+        for fn in callbacks:
+            fn(self)
+
+
 #: Upper bound on recycled timeout events kept per simulator.  Deeper
 #: pools only help when that many sleeps are simultaneously pending,
 #: which no LVRM scenario approaches.
@@ -235,8 +269,8 @@ class Simulator:
 
         return Process(self, generator)
 
-    def call_at(self, time: float, fn: Callable[[], None],
-                urgent: bool = False) -> Event:
+    def call_at(self, time: float, fn: Callable[..., None],
+                urgent: bool = False, arg: Any = _NO_ARG) -> Event:
         """Run a plain callback at absolute time ``time``.
 
         ``urgent=True`` schedules at :data:`URGENT` priority, so the
@@ -245,20 +279,29 @@ class Simulator:
         must observably precede every frame/control event at ``t``, or
         the outcome would depend on heap insertion order and the
         determinism contract of :mod:`repro.faults` would not hold.
+
+        With ``arg`` given the callback runs as ``fn(arg)`` — the hot
+        per-frame form (``call_at(t, link.deliver, arg=frame)``) that
+        needs no closure.  The returned event accepts further callbacks,
+        which run after ``fn``.
         """
-        if time < self._now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self._now}")
-        ev = Event(self)
-        ev.add_callback(lambda _e: fn())
-        ev._ok = True
-        ev._value = None
-        self._enqueue(time - self._now, URGENT if urgent else NORMAL, ev)
+        now = self._now
+        if time < now:
+            raise ValueError(f"cannot schedule in the past: {time} < {now}")
+        ev = _Call(self, fn, arg)
+        self._seq += 1
+        # ``now + (time - now)``, not ``time``: the heap key must stay
+        # the float every earlier version computed, or same-time ties
+        # (and hence event order) could change.
+        heapq.heappush(self._heap, (now + (time - now),
+                                    URGENT if urgent else NORMAL, self._seq,
+                                    ev))
         return ev
 
-    def call_in(self, delay: float, fn: Callable[[], None],
-                urgent: bool = False) -> Event:
+    def call_in(self, delay: float, fn: Callable[..., None],
+                urgent: bool = False, arg: Any = _NO_ARG) -> Event:
         """Run a plain callback after ``delay`` seconds."""
-        return self.call_at(self._now + delay, fn, urgent=urgent)
+        return self.call_at(self._now + delay, fn, urgent=urgent, arg=arg)
 
     # -- scheduling internals ---------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
@@ -314,12 +357,32 @@ class Simulator:
                     self._now = time
                     processed += 1
                     try:
-                        event._process()
+                        # The two commonest event types get their
+                        # ``_process()`` inlined; both always succeed,
+                        # so there is nothing to re-raise afterwards.
+                        cls = type(event)
+                        if cls is _PooledTimeout:
+                            callbacks = event.callbacks
+                            event.callbacks = None
+                            for fn in callbacks:
+                                fn(event)
+                            if len(pool) < _POOL_MAX:
+                                event._value = PENDING
+                                pool.append(event)
+                        elif cls is _Call:
+                            callbacks = event.callbacks
+                            event.callbacks = None
+                            arg = event.arg
+                            if arg is _NO_ARG:
+                                event.fn()
+                            else:
+                                event.fn(arg)
+                            for fn in callbacks:
+                                fn(event)
+                        else:
+                            event._process()
                     except StopSimulation as stop:
                         return stop.value
-                    if type(event) is _PooledTimeout and len(pool) < _POOL_MAX:
-                        event._value = PENDING
-                        pool.append(event)
             finally:
                 self.events_processed += processed
             if until is not None:

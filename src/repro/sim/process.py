@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import Event, Simulator, URGENT
+from repro.sim.engine import PENDING, Event, Simulator, URGENT
 
 __all__ = ["Process", "Interrupt", "ProcessCrash"]
 
@@ -95,18 +95,20 @@ class Process(Event):
 
     # -- resumption machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        # Runs once per resumption: reads the Event slots, not the
+        # ``triggered``/``ok`` properties.
+        if self._value is not PENDING:
             # The process died (e.g. was interrupted) between this event's
             # trigger and its processing; nothing to resume.
-            if not event.ok:
-                event.defuse()
+            if not event._ok:
+                event._defused = True
             return
         self._target = None
-        if event.ok:
-            self._step(event.value, throw=False)
+        if event._ok:
+            self._step(event.value, False)
         else:
-            event.defuse()
-            self._step(event.value, throw=True)
+            event._defused = True
+            self._step(event.value, True)
 
     def _step(self, value: Any, throw: bool) -> None:
         try:

@@ -86,9 +86,16 @@ class RampSender:
             first = self.schedule[0][0] + self.phase
             if first > self.sim.now:
                 yield self.sim.timeout(first - self.sim.now)
-            end_of_schedule = self.schedule[-1][0]
+            schedule = self.schedule
+            end_of_schedule = schedule[-1][0]
+            # rate_at(now), incrementally: sim time never goes back, so
+            # the count of schedule entries already started only grows.
+            started = 0
             while True:
-                rate = self.rate_at(self.sim.now)
+                now = self.sim.now
+                while started < len(schedule) and schedule[started][0] <= now:
+                    started += 1
+                rate = schedule[started - 1][1] if started else 0.0
                 if rate <= 0.0:
                     if self.sim.now >= end_of_schedule:
                         return "finished"

@@ -1,36 +1,27 @@
-"""Reproducibility guarantees: identical seeds give identical results."""
+"""Reproducibility guarantees: identical seeds give identical results.
 
-import dataclasses
+The first run of each scenario is shared with ``test_des_golden.py``
+(see :mod:`tests.des_cases`), which also pins it against a stored file.
+"""
 
 import pytest
 
-from repro.experiments import QUICK
 from repro.experiments.common import ConfigError, build_lvrm_gateway, udp_trial
-from repro.experiments.exp1_overhead import exp1c, exp1e
 from repro.net import Testbed
 from repro.sim import Simulator
-
-TINY = dataclasses.replace(QUICK, name="tiny", trace_frames=4000,
-                           ctrl_events=15, window=0.01, warmup=0.004,
-                           frame_sizes=(84,))
+from tests.des_cases import TINY, first, fresh
 
 
 def test_exp1c_is_bit_reproducible():
-    a = exp1c(TINY)
-    b = exp1c(TINY)
-    assert a.rows == b.rows
+    assert first("exp1c_tiny") == fresh("exp1c_tiny")
 
 
 def test_exp1e_is_bit_reproducible():
-    a = exp1e(TINY)
-    b = exp1e(TINY)
-    assert a.rows == b.rows
+    assert first("exp1e_tiny") == fresh("exp1e_tiny")
 
 
 def test_udp_trial_is_bit_reproducible():
-    a = udp_trial("lvrm-cpp-pfring", 150_000, 84, TINY)
-    b = udp_trial("lvrm-cpp-pfring", 150_000, 84, TINY)
-    assert a == b
+    assert first("udp_trial_tiny") == fresh("udp_trial_tiny")
 
 
 def test_udp_trial_rejects_unknown_mechanism():
@@ -127,16 +118,8 @@ def test_fault_scenario_is_bit_reproducible():
     supervisor counters, applied-fault log, even the DES event count —
     must match bit-for-bit across two runs in the same process.
     """
-    from repro.faults import FaultSchedule, FaultSpec
-    from repro.faults.scenario import run_des_scenario
-
-    sched = FaultSchedule((
-        FaultSpec(t=0.6, kind="kill", vri=1),
-        FaultSpec(t=0.9, kind="corrupt_slot", vri=2, count=3),
-        FaultSpec(t=1.1, kind="hang", vri=0),
-    ), "mixed failover")
-    a = run_des_scenario(sched, duration=2.0)
-    b = run_des_scenario(sched, duration=2.0)
+    a = first("fault_scenario")
+    b = fresh("fault_scenario")
     assert a == b
     # The faults actually landed (this is not vacuous determinism).
     assert a["faults"]["injected"] == 3
@@ -151,15 +134,8 @@ def test_federated_failover_is_bit_reproducible():
     time, the drop ledger, the replication/bus counters, and the DES
     event count.
     """
-    from repro.cluster import FederationConfig, run_des_failover_scenario
-    from repro.faults import FaultSchedule, FaultSpec
-
-    cfg = FederationConfig(
-        duration=1.6, rate_fps=4000.0, n_flows=8, routes=6,
-        faults=FaultSchedule((FaultSpec(t=0.703, kind="kill_instance",
-                                        instance=0),)))
-    a = run_des_failover_scenario(cfg)
-    b = run_des_failover_scenario(cfg)
+    a = first("federated_failover")
+    b = fresh("federated_failover")
     assert a == b
     # Not vacuous: the kill landed, the standby took over, frames died.
     assert a["ok"]
@@ -176,16 +152,8 @@ def test_overload_drill_is_bit_reproducible():
     counts, the smoothed occupancy, and the event count.  The stride
     sampler uses no RNG and integer credit, so this holds exactly.
     """
-    from repro.faults import FaultSchedule, FaultSpec
-    from repro.faults.scenario import run_des_scenario
-
-    sched = FaultSchedule((FaultSpec(t=0.5, kind="kill", vri=1),))
-    kwargs = dict(duration=1.5, overload_policy="adaptive-sample",
-                  overload_x=4.0,
-                  overload_opts={"band_lo": 0.1, "band_hi": 0.4,
-                                 "update_interval": 0.005})
-    a = run_des_scenario(sched, **kwargs)
-    b = run_des_scenario(sched, **kwargs)
+    a = first("overload_drill")
+    b = fresh("overload_drill")
     assert a == b
     # Not vacuous: the controller actually engaged under 4x load.
     state = a["overload"]["state"]

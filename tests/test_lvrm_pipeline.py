@@ -138,6 +138,53 @@ def test_control_events_relayed_between_vris(sim):
     assert [ev.payload[0] for ev in received] == [0, 1, 2, 3, 4]
 
 
+def test_all_vris_follows_create_destroy_and_failure_mid_run(sim):
+    """``all_vris()`` is cached; every change to a VR's VRI list must
+    show up in it at once and in the main loop's next iteration.  The
+    loop relays control by scanning ``all_vris()`` and resolves the
+    destination with ``find_vri`` (which walks it too), so a relay from
+    a VRI created mid-run must arrive, and one addressed to a VRI
+    destroyed or failed over mid-run must not."""
+    lvrm = _memory_lvrm(sim, n_frames=20_000, n_vris=2)
+    received = []
+    steps = []
+
+    def relay(src, dst_id):
+        relayed = lvrm.stats.ctrl_relayed
+        yield from src.send_control(ControlEvent(KIND_USER, src.vri_id,
+                                                 dst_id, t_sent=sim.now))
+        yield sim.timeout(1e-4)
+        return lvrm.stats.ctrl_relayed - relayed
+
+    def runner():
+        while len(lvrm.all_vris()) < 2:
+            yield sim.timeout(1e-4)
+        monitor = lvrm._vri_monitors[0]
+        first, second = before = lvrm.all_vris()
+        first.control_handler = lambda ev, vri: received.append(ev)
+
+        new = monitor.create_vri(
+            lvrm.affinity.place(lvrm.vr_monitor.occupied_cores()))
+        assert lvrm.all_vris() == before + (new,)
+        steps.append(("create", (yield from relay(new, first.vri_id))))
+        assert [ev.src_vri for ev in received] == [new.vri_id]
+
+        monitor.destroy_vri(new)
+        assert lvrm.all_vris() == before
+        steps.append(("destroy", (yield from relay(first, new.vri_id))))
+
+        second.fail()
+        monitor.handle_failure(second)
+        assert lvrm.all_vris() == (first,)
+        steps.append(("failure", (yield from relay(first, second.vri_id))))
+
+    sim.process(runner())
+    sim.run(until=0.05)
+    assert steps == [("create", 1), ("destroy", 0), ("failure", 0)]
+    assert len(received) == 1
+    assert lvrm.stats.forwarded > 0
+
+
 def test_control_to_unknown_vri_is_dropped_gracefully(sim):
     lvrm = _memory_lvrm(sim, n_frames=50, n_vris=1)
 
