@@ -350,7 +350,6 @@ def check(tolerance: float = REGRESSION_TOLERANCE) -> int:
     before/after *ratio* on the same host should not collapse.
     """
     import bench_arena
-    import bench_dispatch
     import bench_federation
     import bench_kernels
     import bench_overload
@@ -358,10 +357,6 @@ def check(tolerance: float = REGRESSION_TOLERANCE) -> int:
     fresh = {
         "BENCH_fastpath.json": _collect_fastpath(),
         "BENCH_arena.json": bench_arena.collect(),
-        # Sharded dispatch plane: split-path micro, e2e speedup vs the
-        # single dispatcher (measured or Amdahl-projected from stage
-        # costs on small hosts), kill-a-shard counter conservation.
-        "BENCH_dispatch.json": bench_dispatch.collect(),
         "BENCH_federation.json": bench_federation.collect(),
         # Covers every kernel x ring class (including the 64B frame size
         # the original gate missed) plus the runtime e2e legs.
@@ -396,20 +391,12 @@ def check(tolerance: float = REGRESSION_TOLERANCE) -> int:
                   f" floor {floor:6.2f}x  {status}")
             if got < floor:
                 regressions.append((fname, name, want, got))
-    # The dispatch plane's acceptance floors (ISSUE 10) are absolute,
-    # not relative-to-baseline: >=1.8x e2e at 2 shards, >=3x at 4, and
-    # the kill-a-shard conservation invariant must hold.
-    misses = bench_dispatch.check_thresholds(fresh["BENCH_dispatch.json"])
-    if misses:
-        print("[bench_runner] --check: dispatch acceptance floors MISSED:")
-        for miss in misses:
-            print(f"  {miss}")
     if regressions:
         print(f"[bench_runner] --check: {len(regressions)} bench(es) "
               "regressed beyond tolerance:")
         for fname, name, want, got in regressions:
             print(f"  {fname}: {name}: {want:.2f}x -> {got:.2f}x")
-    if regressions or misses:
+    if regressions:
         return 1
     print("[bench_runner] --check: all benches within tolerance")
     return 0
@@ -458,11 +445,6 @@ def main(argv=None) -> int:
     import bench_replay
     print("[bench_runner] running replay recorder ...", flush=True)
     bench_replay.main()
-    # Sharded dispatch plane (BENCH_dispatch.json): split-path micro,
-    # e2e speedup vs the single dispatcher, conservation drill.
-    import bench_dispatch
-    print("[bench_runner] running dispatch plane ...", flush=True)
-    bench_dispatch.main()
     report = {
         "schema": "repro.bench_fastpath/1",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

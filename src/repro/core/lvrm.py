@@ -126,14 +126,6 @@ class LvrmConfig:
     #: Optional :class:`repro.overload.OverloadConfig` overrides (dict
     #: or JSON string): AIMD band, steps, floor, classifier rules.
     overload_opts: Optional[dict] = None
-    #: Dispatcher shards of the monitor's RX→classify→admit→steer
-    #: pipeline (``None`` = session default, which honors the
-    #: ``REPRO_DISPATCH_SHARDS`` env var; 1 = the paper's single
-    #: monitor process).  In the DES this swaps the dispatch charge to
-    #: :meth:`~repro.hardware.costs.CostModel.dispatch_variant`; in the
-    #: runtime backend it spawns real shard processes
-    #: (:mod:`repro.dispatch`).
-    dispatch_shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.allocation_period <= 0:
@@ -171,15 +163,6 @@ class LvrmConfig:
             # Pin the env-resolved default so the frozen config reports
             # the kernel that actually runs.
             object.__setattr__(self, "kernel", resolved)
-        from repro.dispatch import resolve_dispatch_shards
-        try:
-            shards = resolve_dispatch_shards(self.dispatch_shards)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.dispatch_shards is None:
-            # Pin the env-resolved default so the frozen config reports
-            # the shard count that actually runs (same as kernel above).
-            object.__setattr__(self, "dispatch_shards", shards)
         from repro.overload import OverloadConfig, POLICIES
         if self.overload_policy not in POLICIES:
             raise ConfigError(
@@ -314,7 +297,6 @@ class Lvrm:
         #: before the arena swap reprices the ring hops — the two knobs
         #: compose exactly like the runtime's kernel= and data_plane=.
         costs = costs.kernel_variant(config.kernel)
-        costs = costs.dispatch_variant(config.dispatch_shards)
         self.costs = costs.arena_variant() if self._arena_plane else costs
         self.config = config
         self.rng = rng or RngRegistry()
@@ -551,7 +533,7 @@ class Lvrm:
 
     def _overload_view(self) -> Dict:
         """The ``/overload`` body: controller state plus the per-VRI
-        occupancy map the shard-aware shedding signal reads."""
+        occupancy map the shedding signal reads."""
         view = self.overload.state()
         view["occupancy"] = {str(k): round(v, 4)
                              for k, v in self.occupancies().items()}
@@ -709,9 +691,8 @@ class Lvrm:
 
         monitor = self.classify(frame.src_ip)
         if monitor is None or not monitor.vris:
-            yield from self.core.execute(
-                self._dispatch_charge(self.costs.classify_cost),
-                owner=self, time_class="us")
+            yield from self.core.execute(self.costs.classify_cost,
+                                         owner=self, time_class="us")
             self.stats.drop_no_vr.inc()
             if _TRACE.enabled:
                 _TRACE.instant("frame.drop", ts=self.sim.now, cat="frame",
@@ -725,9 +706,8 @@ class Lvrm:
             # estimate tracks *admitted* load — the load it must serve.
             self.overload.maybe_update(self.sim.now, self._occupancy)
             if not self.overload.admit_frame(frame):
-                yield from self.core.execute(
-                    self._dispatch_charge(self.costs.classify_cost),
-                    owner=self, time_class="us")
+                yield from self.core.execute(self.costs.classify_cost,
+                                             owner=self, time_class="us")
                 if _TRACE.enabled:
                     _TRACE.instant("frame.shed", ts=self.sim.now,
                                    cat="frame", track="lvrm",
@@ -748,8 +728,8 @@ class Lvrm:
             # every later hop is descriptor-priced via arena_variant().
             dispatch_cost += (self.costs.arena_alloc_cost
                               + self._staging_per_byte * frame.size)
-        yield from self.core.execute(self._dispatch_charge(dispatch_cost),
-                                     owner=self, time_class="us")
+        yield from self.core.execute(dispatch_cost, owner=self,
+                                     time_class="us")
         if self.spans.sample_every and self.spans.should_sample():
             # Open a latency span: creation is t_start, the enqueue in
             # deliver() stamps t_push, the VRI stamps service, transmit
@@ -765,17 +745,6 @@ class Lvrm:
         else:
             self.stats.drop_queue_full.inc()
 
-    def _dispatch_charge(self, cost: float) -> float:
-        """Monitor-side charge for one frame's dispatch work under the
-        sharded plane: the splitter's hash/steer stays serial on the RX
-        core while the pipeline cost divides across the shards running
-        in parallel.  With one shard (the paper's layout) the cost
-        passes through untouched, bit-for-bit."""
-        shards = self.costs.dispatch_shards
-        if shards > 1:
-            return self.costs.dispatch_split_cost + cost / shards
-        return cost
-
     def _occupancy(self) -> float:
         """Admission-control load signal: max data-ring fill across the
         live VRIs, in [0, 1] (the same per-ring ``data_count`` the JSQ
@@ -789,9 +758,9 @@ class Lvrm:
         return depth / cap if cap else 0.0
 
     def occupancies(self) -> Dict[int, float]:
-        """Per-VRI data-ring fill ratios keyed by vri_id — the shard-
-        aware shedding signal (`/overload` surfaces this map; the
-        admission controller consumes its max via :meth:`_occupancy`)."""
+        """Per-VRI data-ring fill ratios keyed by vri_id (`/overload`
+        surfaces this map; the admission controller consumes its max via
+        :meth:`_occupancy`)."""
         cap = self.config.queue_capacity
         if not cap:
             return {}

@@ -1,81 +1,10 @@
-"""The sharded dispatch plane (docs/PERFORMANCE.md §dispatch).
+"""The monitor's dispatch stage.
 
-PR 7's burst kernels made per-VRI routing 6-13x faster, which moved the
-Amdahl bottleneck to the monitor's own RX → classify → admit → balance →
-stage → descriptor-push pipeline: one Python process per gateway, no
-matter how many cores the host has.  This package parallelizes exactly
-that pipeline:
+* :mod:`repro.dispatch.stage` — :class:`DispatchPipeline`, the monitor's
+  classify → admit → balance → stage → push pipeline and its drain side,
+  run inline in the one monitor process as in the paper;
+* :mod:`repro.dispatch.splitter` — an RSS-style 5-tuple flow hash.
 
-* :mod:`repro.dispatch.stage` — :class:`DispatchPipeline`, the dispatch/
-  drain stage extracted verbatim from ``runtime/monitor.py`` so the same
-  code runs inside the monitor (1 shard, the paper's design) or inside N
-  dispatcher-shard processes;
-* :mod:`repro.dispatch.splitter` — the RSS-style 5-tuple flow hash and
-  the jumbo burst codecs that carry frames over per-shard ingest rings;
-* :mod:`repro.dispatch.shard` — the shard process: consumes its ingest
-  ring, runs the full pipeline for its disjoint VRI subset with its own
-  AIMD admission controller and arena producer shard;
-* :mod:`repro.dispatch.plane` — the monitor-side :class:`DispatchPlane`:
-  spawns shards, steers frames by flow hash (per-flow FIFO preserved),
-  folds shard telemetry into monotonic per-shard counters, and resteers
-  around dead shards until the supervisor restarts them.
-
-Shard count resolution mirrors the kernel knob: an explicit value wins,
-else the ``REPRO_DISPATCH_SHARDS`` environment variable, else 1 (the
-single-dispatcher baseline; nothing sharded is constructed at 1).
+Multi-process dispatch is not part of this design: docs/PERFORMANCE.md
+§ "Multi-core dispatch: a substitution not taken" says why.
 """
-
-from __future__ import annotations
-
-import os
-
-__all__ = ["resolve_dispatch_shards", "DispatchPipeline", "DispatchPlane",
-           "ShardArgs", "dispatch_shard_main", "MAX_DISPATCH_SHARDS"]
-
-#: Sanity ceiling: more shards than this is a typo, not a topology.
-MAX_DISPATCH_SHARDS = 64
-
-
-def resolve_dispatch_shards(value=None) -> int:
-    """Resolve the dispatcher shard count.
-
-    ``value`` wins when given; else ``REPRO_DISPATCH_SHARDS``; else 1.
-    Raises ``ValueError`` on non-integers or counts outside
-    ``[1, MAX_DISPATCH_SHARDS]`` (callers map it onto their own config
-    error type).
-    """
-    source = "dispatch_shards"
-    if value is None:
-        raw = os.environ.get("REPRO_DISPATCH_SHARDS", "").strip()
-        if not raw:
-            return 1
-        source = "REPRO_DISPATCH_SHARDS"
-        value = raw
-    try:
-        shards = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"{source} must be an integer, got {value!r}") from None
-    if not 1 <= shards <= MAX_DISPATCH_SHARDS:
-        raise ValueError(
-            f"{source} must be in [1, {MAX_DISPATCH_SHARDS}], got {shards}")
-    return shards
-
-
-_LAZY = {
-    "DispatchPipeline": ("repro.dispatch.stage", "DispatchPipeline"),
-    "DispatchPlane": ("repro.dispatch.plane", "DispatchPlane"),
-    "ShardArgs": ("repro.dispatch.shard", "ShardArgs"),
-    "dispatch_shard_main": ("repro.dispatch.shard", "dispatch_shard_main"),
-}
-
-
-def __getattr__(name: str):
-    # Lazy so importing this module from core.lvrm's config validation
-    # never drags the runtime stack (numpy, shm, multiprocessing) in.
-    try:
-        module, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(name) from None
-    import importlib
-    return getattr(importlib.import_module(module), attr)

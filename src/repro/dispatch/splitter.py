@@ -1,44 +1,28 @@
-"""RSS-style flow hashing and the jumbo burst codecs.
+"""RSS-style flow hashing.
 
-The splitter is the only dispatch work left in the monitor process when
-sharding is on, so both halves here are built to stay off the critical
-path's denominator:
-
-* :func:`hash_frames` / :func:`hash_frame` — a deterministic 5-tuple
-  hash over the IPv4 src/dst addresses and L4 ports (the 12 bytes at
-  Ethernet offsets 26..38, i.e. what commodity-NIC RSS hashes).  The
-  batch form vectorizes over uniform-length bursts with numpy; the
-  scalar form computes the *identical* value, so a flow steers to the
-  same shard no matter which path saw it.  Python's built-in ``hash``
-  is deliberately avoided: it is salted per process
-  (``PYTHONHASHSEED``), and the steering decision must be stable across
-  monitor restarts and reproducible in tests.
-
-* :func:`pack_burst` / :func:`unpack_burst` — one ingest-ring record
-  carrying a whole sub-burst: ``<u32 n><u32 lens[n]><payloads>``.
-  Pushing one jumbo per shard per burst amortizes the ring's
-  shared-index synchronization over the burst exactly like the worker
-  rings' ``try_push_many``, and keeps the ingest ring single-producer /
-  single-consumer.
-
-* :func:`pack_egress` / :func:`unpack_egress` — the same idea for the
-  shard → monitor output path, with per-frame ``(vri_id, iface)``
-  columns so the monitor's ``drain()`` contract survives sharding.
+:func:`hash_frames` / :func:`hash_frame` compute a deterministic 5-tuple
+hash over the IPv4 src/dst addresses and L4 ports (the 12 bytes at
+Ethernet offsets 26..38, i.e. what commodity-NIC RSS hashes).  The batch
+form vectorizes over uniform-length bursts with numpy; the scalar form
+computes the *identical* value.  Python's built-in ``hash`` is
+deliberately avoided: it is salted per process (``PYTHONHASHSEED``), and
+a flow's hash must be stable across restarts and reproducible in tests.
 
 Frames shorter than a full IPv4+L4 header hash over their zero-padded
-tail — junk steers deterministically too, it just all lands together.
+tail — junk hashes deterministically too, it just all lands together.
+
+Nothing on the forwarding path calls these today; ``bench/probes.py``
+times :func:`hash_frames` as an off-path layer.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-__all__ = ["FLOW_KEY_OFF", "FLOW_KEY_LEN", "hash_frame", "hash_frames",
-           "shard_of_hash", "pack_burst", "unpack_burst", "burst_frames",
-           "pack_egress", "unpack_egress"]
+__all__ = ["FLOW_KEY_OFF", "FLOW_KEY_LEN", "hash_frame", "hash_frames"]
 
 #: The RSS key: IPv4 src+dst (8 bytes at Ethernet offset 26) and the L4
 #: src/dst ports (4 bytes right after the 20-byte option-free header).
@@ -92,120 +76,3 @@ def hash_frames(frames: Sequence[bytes]) -> np.ndarray:
              + lanes[:, 1] * np.uint64(_M1)
              + lanes[:, 2] * np.uint64(_M2))
         return h * np.uint64(_FIN)
-
-
-def shard_of_hash(h, steer: np.ndarray) -> np.ndarray:
-    """Map hashes through a steer table (len must be a power of two)."""
-    buckets = np.asarray(h, dtype=np.uint64) & np.uint64(len(steer) - 1)
-    return steer[buckets.astype(np.intp)]
-
-
-# ---------------------------------------------------------------------------
-# jumbo burst records (monitor -> shard ingest rings)
-# ---------------------------------------------------------------------------
-
-_HDR = struct.Struct("<I")  # frame count
-
-
-def pack_burst(frames: Sequence[bytes], max_bytes: int
-               ) -> List[Tuple[bytes, int]]:
-    """Pack a burst into one or more jumbo records of at most
-    ``max_bytes`` each, preserving order.  Returns ``(record,
-    n_frames)`` pairs; a frame too large for even an empty record
-    raises ``ValueError`` (the ring slot is sized for max Ethernet
-    frames times a batch, so this is a config error, not traffic)."""
-    out: List[Tuple[bytes, int]] = []
-    group: List[bytes] = []
-    used = _HDR.size
-
-    def close() -> None:
-        n = len(group)
-        lens = np.fromiter((len(f) for f in group), dtype="<u4", count=n)
-        out.append((_HDR.pack(n) + lens.tobytes() + b"".join(group), n))
-        group.clear()
-
-    for frame in frames:
-        need = 4 + len(frame)
-        if _HDR.size + need > max_bytes:
-            raise ValueError(
-                f"frame of {len(frame)} bytes exceeds the ingest record "
-                f"budget of {max_bytes} bytes")
-        if group and used + need > max_bytes:
-            close()
-            used = _HDR.size
-        group.append(frame)
-        used += need
-    if group:
-        close()
-    return out
-
-
-def unpack_burst(record: bytes) -> List[bytes]:
-    """Inverse of :func:`pack_burst` for one record."""
-    (n,) = _HDR.unpack_from(record)
-    lens = np.frombuffer(record, dtype="<u4", count=n, offset=_HDR.size)
-    start = _HDR.size + 4 * n
-    ends = start + np.cumsum(lens, dtype=np.int64)
-    starts = ends - lens
-    return [record[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-
-
-def burst_frames(record: bytes) -> int:
-    """Frame count of a jumbo record without unpacking it."""
-    return _HDR.unpack_from(record)[0]
-
-
-# ---------------------------------------------------------------------------
-# jumbo egress records (shard -> monitor drained outputs)
-# ---------------------------------------------------------------------------
-
-def pack_egress(outs: Sequence[Tuple[int, int, bytes]], max_bytes: int
-                ) -> List[bytes]:
-    """Pack drained ``(vri_id, iface, frame)`` outputs into jumbo
-    records: ``<u32 n><u16 vri[n]><u16 iface[n]><u32 lens[n]>
-    <payloads>``."""
-    out: List[bytes] = []
-    group: List[Tuple[int, int, bytes]] = []
-    used = _HDR.size
-
-    def close() -> None:
-        n = len(group)
-        vris = np.fromiter((g[0] for g in group), dtype="<u2", count=n)
-        ifaces = np.fromiter((g[1] & 0xFFFF for g in group),
-                             dtype="<u2", count=n)
-        lens = np.fromiter((len(g[2]) for g in group), dtype="<u4", count=n)
-        out.append(_HDR.pack(n) + vris.tobytes() + ifaces.tobytes()
-                   + lens.tobytes() + b"".join(g[2] for g in group))
-        group.clear()
-
-    for item in outs:
-        need = 8 + len(item[2])
-        if _HDR.size + need > max_bytes:
-            raise ValueError(
-                f"output frame of {len(item[2])} bytes exceeds the egress "
-                f"record budget of {max_bytes} bytes")
-        if group and used + need > max_bytes:
-            close()
-            used = _HDR.size
-        group.append(item)
-        used += need
-    if group:
-        close()
-    return out
-
-
-def unpack_egress(record: bytes) -> List[Tuple[int, int, bytes]]:
-    """Inverse of :func:`pack_egress` for one record."""
-    (n,) = _HDR.unpack_from(record)
-    off = _HDR.size
-    vris = np.frombuffer(record, dtype="<u2", count=n, offset=off)
-    off += 2 * n
-    ifaces = np.frombuffer(record, dtype="<u2", count=n, offset=off)
-    off += 2 * n
-    lens = np.frombuffer(record, dtype="<u4", count=n, offset=off)
-    off += 4 * n
-    ends = off + np.cumsum(lens, dtype=np.int64)
-    starts = ends - lens
-    return [(int(v), int(i), record[s:e])
-            for v, i, s, e in zip(vris.tolist(), ifaces.tolist(),
-                                  starts.tolist(), ends.tolist())]

@@ -1,17 +1,12 @@
-"""The shard-runnable dispatch/drain stage.
+"""The monitor's inline dispatch/drain stage.
 
 :class:`DispatchPipeline` is the monitor's classify → overload-admit →
-balance → stage → descriptor-push pipeline plus the matching drain side,
-extracted verbatim from ``runtime/monitor.py`` so the exact same code
-runs in two hosts:
+balance → stage → descriptor-push pipeline plus the matching drain side.
+:class:`repro.runtime.monitor.RuntimeLvrm`, the paper's single monitor
+process, is its only host.
 
-* :class:`repro.runtime.monitor.RuntimeLvrm` — the paper's single
-  monitor process (1 shard);
-* :class:`repro.dispatch.shard._ShardCore` — one of N dispatcher-shard
-  processes, each owning a disjoint VRI subset.
-
-The mixin is deliberately attribute-driven rather than constructor-
-driven: a host supplies the state the pipeline reads, nothing more.
+The mixin is attribute-driven rather than constructor-driven: the host
+supplies the state the pipeline reads, nothing more.
 
 Required host attributes
 ------------------------
@@ -20,10 +15,9 @@ Required host attributes
 ``balancer``/``_rr``     ``"rr"`` or ``"jsq"`` + the rotation cursor
 ``ring_capacity``        worker data-ring depth (occupancy normalizer)
 ``overload``             ``AdmissionController`` or None
-``spans``                ``SpanRecorder`` (``sample_every == 0`` in
-                         shards: probes need the monitor on both ends)
-``arena``/``_arena_prod``  ``FrameArena`` + this process's producer
-                         shard, or None on the copy plane
+``spans``                ``SpanRecorder``
+``arena``/``_arena_prod``  ``FrameArena`` + the monitor's producer,
+                         or None on the copy plane
 ``_push_pending``        record-mode coalesced ``ring.push`` counts
 ``_drain_batcher``       AIMD drain burst sizer
 ``_c_dispatched``, ``_c_arena_alloc``, ``_c_arena_exhausted``,
@@ -51,7 +45,7 @@ __all__ = ["DispatchPipeline"]
 
 
 class DispatchPipeline:
-    """Dispatch/drain stage shared by the monitor and dispatcher shards."""
+    """The monitor's dispatch/drain stage."""
 
     # -- data plane ------------------------------------------------------------
     def _pick(self):
@@ -62,18 +56,15 @@ class DispatchPipeline:
         return vri
 
     def _overload_occupancy(self) -> float:
-        """Admission-control load signal: max data-ring fill across
-        *this host's* workers, normalized to [0, 1] — which makes a
-        shard's AIMD controller shard-aware for free: it reacts to the
-        rings it actually feeds, not the cluster max."""
+        """Admission-control load signal: max data-ring fill across the
+        workers, normalized to [0, 1]."""
         if not self.vris:
             return 0.0
         depth = max(len(v.data_in) for v in self.vris)
         return depth / self.ring_capacity if self.ring_capacity else 0.0
 
     def occupancies(self) -> Dict[int, float]:
-        """Per-VRI data-ring fill fractions (the shard-aware shedding
-        signal surfaced on ``/overload``)."""
+        """Per-VRI data-ring fill fractions (surfaced on ``/overload``)."""
         cap = self.ring_capacity
         if not cap:
             return {}
@@ -365,7 +356,7 @@ class DispatchPipeline:
         """Arena-mode drain: pop descriptors, copy each frame out of its
         chunk exactly once (the caller owns the result, so this copy is
         the round trip's second and last), then free the chunk straight
-        onto the owner's shard free list."""
+        onto the owner's free list."""
         out: List[Tuple[int, int, bytes]] = []
         arena = self.arena
         read_block = arena.read_block

@@ -44,10 +44,6 @@ def _cmd_run(args) -> int:
         # kernel from REPRO_KERNEL — exporting the flag here reaches
         # every config the run constructs.
         os.environ["REPRO_KERNEL"] = args.kernel
-    if args.dispatch_shards is not None:
-        # Same trick: LvrmConfig resolves a None dispatch_shards from
-        # REPRO_DISPATCH_SHARDS.
-        os.environ["REPRO_DISPATCH_SHARDS"] = str(args.dispatch_shards)
     profile = get_profile(args.profile)
     targets = (sorted(EXPERIMENTS) if args.experiment == "all"
                else [args.experiment])
@@ -121,15 +117,9 @@ def _cmd_faults(args) -> int:
         print("error: --record-trace requires --backend runtime",
               file=sys.stderr)
         return 2
-    if args.record_trace is not None and (args.dispatch_shards or 1) > 1:
-        # Shard processes interleave ring ops the monitor-side tracer
-        # cannot sequence; a sharded trace would be incomplete.
-        print("error: --record-trace requires --dispatch-shards 1",
-              file=sys.stderr)
-        return 2
     if args.profile_out is not None and args.backend == "des":
         print("error: --profile-out requires --backend runtime "
-              "(it profiles the real monitor and shard processes)",
+              "(it profiles the real monitor process)",
               file=sys.stderr)
         return 2
     overload_opts = None
@@ -163,8 +153,7 @@ def _cmd_faults(args) -> int:
                                   kernel=args.kernel,
                                   overload_policy=args.overload_policy,
                                   overload_x=args.overload_x,
-                                  overload_opts=overload_opts,
-                                  dispatch_shards=args.dispatch_shards)
+                                  overload_opts=overload_opts)
         ok = report["flows_ok"]
     else:
         report = run_runtime_scenario(schedule, duration=args.duration,
@@ -177,7 +166,6 @@ def _cmd_faults(args) -> int:
                                       overload_x=args.overload_x,
                                       overload_opts=overload_opts,
                                       record_trace=args.record_trace,
-                                      dispatch_shards=args.dispatch_shards,
                                       profile_out=args.profile_out)
         ok = report["resumed_ok"]
     if args.json is not None:
@@ -207,15 +195,12 @@ def _cmd_faults(args) -> int:
     if total:
         print(f"frame latency     p50={total['p50'] * 1e6:.1f}us "
               f"p99={total['p99'] * 1e6:.1f}us")
-    if report.get("dispatch_shards", 1) > 1:
-        print(f"dispatch shards   {report['dispatch_shards']}")
     if report.get("trace") is not None:
         print(f"trace             {report['trace']} "
               f"({report['trace_events']} events)")
     if report.get("profile") is not None:
         print(f"profile           {report['profile']} "
-              f"(merged {report['profile_files']} pstats streams; "
-              f"inspect with python -m pstats)")
+              f"(inspect with python -m pstats)")
     overload = report.get("overload", {})
     if overload.get("policy", "none") != "none":
         state = overload.get("state", {})
@@ -371,12 +356,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "(default: REPRO_KERNEL env or scalar; "
                           "cffi auto-degrades to numpy without a "
                           "compiler — see docs/PERFORMANCE.md)")
-    run.add_argument("--dispatch-shards", type=int, default=None,
-                     metavar="N",
-                     help="dispatcher shards for the monitor pipeline "
-                          "(default: REPRO_DISPATCH_SHARDS env or 1; "
-                          "runtime backend needs ring-impl lamport — "
-                          "see docs/PERFORMANCE.md)")
     faults = sub.add_parser(
         "faults", help="run a fault-injection scenario "
                        "(see docs/RELIABILITY.md)")
@@ -441,20 +420,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     faults.add_argument("--record-trace", metavar="PATH", default=None,
                         help="runtime backend: record a sequenced replay "
                              "trace (JSONL) of the drill to PATH for "
-                             "'lvrm-exp replay' (see docs/REPLAY.md; "
-                             "incompatible with --dispatch-shards > 1)")
-    faults.add_argument("--dispatch-shards", type=int, default=None,
-                        metavar="N",
-                        help="shard the monitor's dispatch pipeline "
-                             "across N processes (runtime) or charge "
-                             "the DES cost model's sharded variant "
-                             "(des); default: REPRO_DISPATCH_SHARDS "
-                             "env or 1")
+                             "'lvrm-exp replay' (see docs/REPLAY.md)")
     faults.add_argument("--profile-out", metavar="PATH", default=None,
                         help="runtime backend: cProfile the monitor's "
-                             "driving loop and every dispatcher shard, "
-                             "dump one merged pstats file to PATH "
-                             "(shards also leave PATH.shardN)")
+                             "driving loop and dump the pstats file to "
+                             "PATH")
     replay = sub.add_parser(
         "replay", help="replay a recorded trace through the DES twin and "
                        "run the happens-before race checker "

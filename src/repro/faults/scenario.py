@@ -53,19 +53,11 @@ SCENARIO_SLO_RULES = (
 OVERLOAD_DST_PORTS = (179, 5000, 40000)
 
 
-def _overload_report(policy: str, offered_x: float, controller,
-                     plane_state: Optional[Dict] = None) -> Dict:
-    """The ``overload`` section shared by both scenario reports.
-
-    Under the sharded dispatch plane the monitor holds no controller
-    (each shard runs its own, coupled through the shared verdict); the
-    plane's folded per-shard view — snapshotted before teardown —
-    stands in."""
+def _overload_report(policy: str, offered_x: float, controller) -> Dict:
+    """The ``overload`` section shared by both scenario reports."""
     out: Dict = {"policy": policy, "offered_x": offered_x}
     if controller is not None:
         out["state"] = controller.state()
-    elif plane_state is not None and policy != "none":
-        out["state"] = plane_state
     return out
 
 
@@ -91,8 +83,7 @@ def run_des_scenario(schedule: FaultSchedule, duration: float = 6.0,
                      kernel: Optional[str] = None,
                      overload_policy: str = "none",
                      overload_x: float = 1.0,
-                     overload_opts: Optional[Dict] = None,
-                     dispatch_shards: Optional[int] = None) -> Dict:
+                     overload_opts: Optional[Dict] = None) -> Dict:
     """Run a fault schedule on the simulated gateway; return the report.
 
     ``n_flows`` CBR UDP flows (half from each sender host, distinct
@@ -119,8 +110,7 @@ def run_des_scenario(schedule: FaultSchedule, duration: float = 6.0,
                                postmortem_dir=postmortem_dir,
                                data_plane=data_plane, kernel=kernel,
                                overload_policy=overload_policy,
-                               overload_opts=overload_opts,
-                               dispatch_shards=dispatch_shards)
+                               overload_opts=overload_opts)
     lvrm = Lvrm(sim, machine, adapter, costs=DEFAULT_COSTS, config=cfg,
                 rng=RngRegistry(seed))
     lvrm.add_vr(VrSpec(name="vr1", subnets=(Prefix.parse("10.1.0.0/16"),)),
@@ -184,7 +174,6 @@ def run_des_scenario(schedule: FaultSchedule, duration: float = 6.0,
         "seed": seed,
         "data_plane": data_plane,
         "kernel": cfg.kernel,
-        "dispatch_shards": cfg.dispatch_shards,
         "sent": sum(s.sent for s in senders),
         "captured": stats.captured,
         "dispatched": stats.dispatched,
@@ -283,7 +272,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
                          overload_x: float = 1.0,
                          overload_opts: Optional[Dict] = None,
                          record_trace: Optional[str] = None,
-                         dispatch_shards: Optional[int] = None,
                          profile_out: Optional[str] = None) -> Dict:
     """Run the signal-level subset of a schedule on real workers.
 
@@ -302,27 +290,16 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
     decision, and fault injection is captured into a sequenced JSONL
     trace at that path, finalized with the run's counter summary so
     ``lvrm-exp replay`` can verify it bit-identically through the DES.
-    Recording requires a single dispatcher (``dispatch_shards == 1``):
-    shard processes interleave ring ops the monitor-side tracer cannot
-    sequence, so a sharded trace would be structurally incomplete.
 
-    ``dispatch_shards > 1`` runs the drill through the sharded dispatch
-    plane (:mod:`repro.dispatch`); ``profile_out`` cProfiles the
-    monitor's driving loop (and, when sharded, each shard process) and
-    dumps one merged pstats file at that path.
+    ``profile_out`` cProfiles the monitor's driving loop and dumps the
+    pstats file at that path.
     """
-    from repro.dispatch import resolve_dispatch_shards
     from repro.net.addresses import ip_to_int
     from repro.net.packet import build_udp_frame
     from repro.obs.slo import parse_rules
     from repro.obs.trace import TRACER as _TRACE
     from repro.runtime import RuntimeLvrm, Supervisor, SupervisorPolicy
 
-    if record_trace is not None and resolve_dispatch_shards(
-            dispatch_shards) > 1:
-        raise ValueError(
-            "record_trace requires dispatch_shards=1: shard processes "
-            "interleave ring ops the monitor-side tracer cannot sequence")
     profile = None
     if profile_out is not None:
         import cProfile
@@ -360,9 +337,7 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
                            wait_strategy=wait_strategy,
                            kernel=kernel,
                            overload_policy=overload_policy,
-                           overload_opts=overload_opts,
-                           dispatch_shards=dispatch_shards,
-                           dispatch_profile_base=profile_out)
+                           overload_opts=overload_opts)
     except BaseException:
         if recorder is not None:
             recorder.stop()
@@ -381,7 +356,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
     pending = sorted(runnable, key=lambda f: f.t)
     dispatched = drained = offered = 0
     drained_after_restart = 0
-    plane_overload: Optional[Dict] = None
     try:
         if profile is not None:
             profile.enable()
@@ -434,10 +408,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
             time.sleep(1e-3)
         if profile is not None:
             profile.disable()
-        plane = getattr(lvrm, "_plane", None)
-        if plane is not None and not plane.stopped:
-            plane.pump()  # absorb the shards' latest overload telemetry
-            plane_overload = plane.overload_state()
         if recorder is not None:
             # Finalize while the monitor is still up (before stop()'s
             # retire events), from the runtime's own counters — the
@@ -465,20 +435,8 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
         if profile is not None:
             profile.disable()  # no-op when already stopped above
 
-    profile_files = 0
     if profile is not None:
-        # Merge the monitor-side profile with every shard dump (the
-        # shards write ``PATH.shardN`` pstats files as they exit, which
-        # lvrm.stop() above guarantees has happened).
-        import pstats
-        stats = pstats.Stats(profile)
-        profile_files = 1
-        for sid in range(lvrm.dispatch_shards):
-            shard_path = f"{profile_out}.shard{sid}"
-            if os.path.exists(shard_path):
-                stats.add(shard_path)
-                profile_files += 1
-        stats.dump_stats(profile_out)
+        profile.dump_stats(profile_out)
 
     injected = len(runnable) - len(pending)
     from repro.obs.registry import default_registry
@@ -492,7 +450,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
         "data_plane": data_plane,
         "wait_strategy": wait_strategy,
         "kernel": lvrm.kernel,
-        "dispatch_shards": lvrm.dispatch_shards,
         "offered": offered,
         "dispatched": dispatched,
         "forwarded": drained,
@@ -508,12 +465,10 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
         "spans": lvrm.spans.percentiles(),
         "slo": _slo_report(supervisor.watchdog),
         "overload": _overload_report(overload_policy, overload_x,
-                                     lvrm.overload,
-                                     plane_state=plane_overload),
+                                     lvrm.overload),
         "telemetry": {"merged_vri_ids": merged_ids},
         "admin_url": admin_url,
-        **({"profile": profile_out, "profile_files": profile_files}
-           if profile_out is not None else {}),
+        **({"profile": profile_out} if profile_out is not None else {}),
         "resumed_ok": (supervisor.restarts == 0
                        or drained_after_restart > 0),
         **({"trace": record_trace,

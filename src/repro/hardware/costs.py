@@ -91,16 +91,6 @@ class CostModel:
     #: matching owner-side free, amortized per frame.
     arena_alloc_cost: float = 0.045 * _US
 
-    # -- sharded dispatch plane (repro.dispatch) ----------------------------
-    #: How many dispatcher shards run the classify→admit→balance→stage
-    #: pipeline (1 = the paper's single monitor process).
-    dispatch_shards: int = 1
-    #: Monitor-side cost of the RSS-style splitter per frame when
-    #: sharding is on: the 5-tuple hash, the shard bucket append, and
-    #: the amortized jumbo-record pack/push onto the ingest ring
-    #: (calibrated against BENCH_dispatch.json ``split_hash_steer``).
-    dispatch_split_cost: float = 0.075 * _US
-
     # -- burst kernels (repro.kernels) -------------------------------------------
     #: Per-frame VR service cost multiplier of the vectorized numpy
     #: kernel relative to the scalar reference: whole-burst header
@@ -220,20 +210,6 @@ class CostModel:
         return self.replace(
             cpp_vr_cost=(self.cpp_vr_cost * factors[kind]
                          + self.kernel_batch_fixed))
-
-    def dispatch_variant(self, shards: int) -> "CostModel":
-        """The cost model under the sharded dispatch plane
-        (:mod:`repro.dispatch`), composing like the two variants above.
-
-        Only the ``dispatch_shards`` knob changes; the charge sites in
-        ``Lvrm._capture_one`` read it to split the monitor-side dispatch
-        work across shards (serial splitter cost plus ``1/shards`` of
-        the pipeline cost), so the DES twin stays bit-reproducible for
-        any shard count.  ``shards <= 1`` returns ``self`` unchanged.
-        """
-        if shards is None or shards <= 1:
-            return self
-        return self.replace(dispatch_shards=int(shards))
 
 
 #: The calibration used by every experiment unless explicitly overridden.

@@ -55,15 +55,19 @@ class SimIpcQueue:
         self.pushed = 0
         self.popped = 0
         self.dropped = 0
-        #: Occupancy high-water mark (a bare int on the hot path; named
-        #: queues surface it as a pull-mode obs gauge read at scrape
-        #: time, so pushes never pay the registry indirection).
+        #: Occupancy high-water mark (a bare int on the hot path).  Named
+        #: queues copy it into an obs gauge only when it rises, which is
+        #: rare, so pushes never pay the registry indirection, and the
+        #: process-wide registry never holds the queue (nor, through it,
+        #: the whole Simulator) once the run is over.
         self.hwm = 0
+        self._hwm_gauge = None
         if name:
-            default_registry().gauge(
+            self._hwm_gauge = default_registry().gauge(
                 "queue_occupancy_hwm",
                 "highest occupancy a DES IPC queue ever reached",
-                queue=name).set_fn(lambda: self.hwm)
+                queue=name)
+            self._hwm_gauge.set(0)
         #: Called (once per transition from empty) when an item arrives;
         #: the consumer re-registers each time it goes back to sleep.
         self._wake: Optional[Callable[[], None]] = None
@@ -131,6 +135,8 @@ class SimIpcQueue:
         self.pushed += 1
         if len(self._items) > self.hwm:
             self.hwm = len(self._items)
+            if self._hwm_gauge is not None:
+                self._hwm_gauge.set(self.hwm)
         if self._wake is not None:
             wake, self._wake = self._wake, None
             wake()

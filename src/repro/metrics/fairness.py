@@ -29,14 +29,16 @@ def _as_rates(values: Sequence[float]) -> np.ndarray:
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index, in [1/n, 1] (1 when all-zero, by convention)."""
     x = _as_rates(values)
-    total = x.sum()
-    if total == 0.0:
+    top = x.max()
+    if top == 0.0:
         return 1.0
-    # Normalize by the mean before squaring: the index is scale
-    # invariant, and this keeps subnormal/huge rates from under- or
-    # overflowing the squared sums.
-    x = x / (total / x.size)
-    return float(x.size / np.square(x).sum())
+    # Normalize by the max before squaring: the index is scale
+    # invariant, and with the largest rate at 1 neither sum can under-
+    # or overflow (the mean can: two rates of 0 and 5e-324 average to
+    # a subnormal half that rounds to 0).
+    x = x / top
+    s = x.sum()
+    return float(s * s / (x.size * np.square(x).sum()))
 
 
 def max_min_fairness(values: Sequence[float]) -> float:

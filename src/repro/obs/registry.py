@@ -96,6 +96,13 @@ class Gauge:
         value (hot paths then maintain a bare attribute for free)."""
         self._fn = fn
 
+    def freeze(self, value: Optional[float] = None) -> None:
+        """Leave pull mode holding ``value`` (default: one last pull).
+        Drops the callback, and whatever it kept alive, for an owner
+        that is going away while the registry lives on."""
+        self._value = self.value if value is None else float(value)
+        self._fn = None
+
     def samples(self) -> Iterable[Tuple[str, LabelItems, float]]:
         yield self.name, self.labels, self.value
 

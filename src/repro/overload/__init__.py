@@ -6,21 +6,15 @@ monitor dispatch in both backends:
 * :mod:`repro.overload.classify` — 5-tuple → priority class;
 * :mod:`repro.overload.controller` — per-class deterministic stride
   sampling with AIMD rates driven by ring occupancy and the SLO
-  watchdog;
-* :mod:`repro.overload.verdict` — the shared-memory element-min stride
-  table that couples per-shard AIMD controllers under the sharded
-  dispatch plane (:mod:`repro.dispatch`).
+  watchdog.
 """
 
 from repro.overload.classify import (ClassRule, DEFAULT_CLASSES,
                                      DEFAULT_RULES, PriorityClassifier)
 from repro.overload.controller import (AdmissionController, OverloadConfig,
                                        POLICIES, build_controller)
-from repro.overload.verdict import SharedVerdict, verdict_bytes_needed
 
 __all__ = [
-    "SharedVerdict",
-    "verdict_bytes_needed",
     "ClassRule",
     "DEFAULT_CLASSES",
     "DEFAULT_RULES",

@@ -181,16 +181,11 @@ class AdmissionController:
 
     def __init__(self, config: OverloadConfig,
                  registry: Optional[Registry] = None,
-                 scope_labels: Optional[Dict[str, str]] = None,
-                 verdict=None, verdict_slot: int = 0):
+                 scope_labels: Optional[Dict[str, str]] = None):
         if config.policy == "none":
             raise ConfigError(
                 "policy 'none' means no controller; use build_controller()")
         self.config = config
-        #: Optional :class:`repro.overload.verdict.SharedVerdict` row this
-        #: controller publishes to and clamps from (sharded dispatch).
-        self._verdict = verdict
-        self._verdict_slot = verdict_slot
         self.classifier = PriorityClassifier.from_spec(config.classifier)
         n = self.classifier.n_classes
         self.rates: List[float] = [1.0] * n
@@ -343,15 +338,6 @@ class AdmissionController:
             self._tighten()
         elif self._occ_avg < self.config.band_lo:
             self._relax()
-        if self._verdict is not None:
-            # Publish this shard's own post-AIMD opinion *first*, then
-            # clamp the live rates to the cluster-wide element-min.  The
-            # published row never carries the clamp, so the verdict
-            # relaxes the moment the tightest shard itself relaxes.
-            self._verdict.publish(self._verdict_slot, list(self._stride))
-            for c, stride in enumerate(self._verdict.effective()):
-                if stride < self._stride[c]:
-                    self.set_rate(c, stride / _SCALE)
         return True
 
     def note_slo(self, breaching: bool) -> None:
@@ -412,8 +398,6 @@ class AdmissionController:
             "policy": self.config.policy,
             "band": [self.config.band_lo, self.config.band_hi],
             "floor": self.config.floor,
-            **({"verdict": [round(r, 6) for r in self._verdict.rates()]}
-               if self._verdict is not None else {}),
             "occupancy": (round(self._occ_avg, 6)
                           if self._occ_avg is not None else None),
             "slo_pressure": self._slo_pressure,
@@ -435,7 +419,6 @@ def build_controller(policy: str,
                      opts: Union[None, str, dict, OverloadConfig] = None,
                      registry: Optional[Registry] = None,
                      scope_labels: Optional[Dict[str, str]] = None,
-                     verdict=None, verdict_slot: int = 0,
                      ) -> Optional[AdmissionController]:
     """Factory used by both backends: ``None`` for policy ``none``
     (legacy dispatch path, zero overhead), a controller otherwise.
@@ -454,5 +437,4 @@ def build_controller(policy: str,
                 f"requested policy {policy!r}")
         cfg = OverloadConfig.from_spec({**(cfg.__dict__), "policy": policy})
     return AdmissionController(cfg, registry=registry,
-                               scope_labels=scope_labels,
-                               verdict=verdict, verdict_slot=verdict_slot)
+                               scope_labels=scope_labels)

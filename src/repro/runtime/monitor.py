@@ -15,11 +15,10 @@ import os
 import struct
 import time
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.vr import DEFAULT_MAP_LINES
-from repro.dispatch import resolve_dispatch_shards
 from repro.dispatch.stage import DispatchPipeline
 from repro.errors import (ArenaError, ConfigError, KernelError,
                           RuntimeBackendError)
@@ -36,7 +35,7 @@ from repro.ipc.shm import SharedSegment
 from repro.ipc.wait import WAIT_STRATEGIES, AimdBatcher, WaitPolicy
 from repro.obs.admin import AdminServer, AdminState
 from repro.obs.recorder import FlightRecorder
-from repro.obs.registry import default_registry
+from repro.obs.registry import Gauge, default_registry
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TRACER as _TRACE
 from repro.runtime.worker import WorkerArgs, vri_worker_main
@@ -48,15 +47,6 @@ _CTRL_SLOT = 512
 
 _RING_TAGS = ("data_in", "data_out", "ctrl_in", "ctrl_out")
 _rt_ids = itertools.count(1)
-
-
-def _ring_fill(ring, capacity: int) -> float:
-    """Pull-gauge helper: live fill ratio, 0.0 once the ring closed
-    (a scrape can outlive the worker the gauge was bound to)."""
-    try:
-        return len(ring) / capacity if capacity else 0.0
-    except TypeError:
-        return 0.0
 
 
 @dataclass
@@ -79,6 +69,9 @@ class RuntimeVriHandle:
     #: instantly declared hung).  Meaningful only when the monitor runs
     #: with ``heartbeat_interval > 0``.
     last_heartbeat: float = 0.0
+    #: Pull gauges bound to this worker's rings: one occupancy HWM per
+    #: ring, then the data_in fill ratio.
+    gauges: Tuple[Gauge, ...] = ()
 
     def rings(self) -> Tuple[SpscRing, ...]:
         return (self.data_in, self.data_out, self.ctrl_in, self.ctrl_out)
@@ -88,10 +81,8 @@ class RuntimeLvrm(DispatchPipeline):
     """Spawn, feed, drain, and stop real VRI workers.
 
     The RX→classify→admit→steer pipeline itself lives in
-    :class:`~repro.dispatch.stage.DispatchPipeline`, shared verbatim
-    with the dispatcher shards; with ``dispatch_shards > 1`` this class
-    delegates the data plane to a :class:`~repro.dispatch.plane.\
-DispatchPlane` and keeps only the worker control plane.
+    :class:`~repro.dispatch.stage.DispatchPipeline`; this class owns the
+    workers, their rings and the control plane.
     """
 
     def __init__(self, n_vris: int = 1, ring_capacity: int = 1024,
@@ -110,10 +101,7 @@ DispatchPlane` and keeps only the worker control plane.
                  kernel: Optional[str] = None,
                  kernel_rewrite: bool = False,
                  overload_policy: str = "none",
-                 overload_opts: Optional[Dict] = None,
-                 dispatch_shards: Optional[int] = None,
-                 dispatch_egress_counts: bool = False,
-                 dispatch_profile_base: Optional[str] = None):
+                 overload_opts: Optional[Dict] = None):
         if n_vris < 1:
             raise RuntimeBackendError("need at least one VRI")
         if balancer not in ("rr", "jsq"):
@@ -134,24 +122,6 @@ DispatchPlane` and keeps only the worker control plane.
             raise RuntimeBackendError(
                 f"wait_strategy must be one of {WAIT_STRATEGIES}, "
                 f"got {wait_strategy!r}")
-        try:
-            dispatch_shards = resolve_dispatch_shards(dispatch_shards)
-        except ValueError as exc:
-            raise RuntimeBackendError(str(exc)) from exc
-        shards_requested = dispatch_shards
-        if dispatch_shards > n_vris:
-            # VRIs are partitioned (vri_id - 1) % shards, so a shard
-            # beyond n_vris would own zero VRIs and black-hole every
-            # flow the splitter steers to it.  Clamp rather than raise:
-            # REPRO_DISPATCH_SHARDS is a fleet-wide knob (CI parity
-            # sweeps set it globally) and small topologies should
-            # degrade to fewer shards, not refuse to start.
-            dispatch_shards = n_vris
-        if dispatch_shards > 1 and ring_impl != "lamport":
-            raise RuntimeBackendError(
-                "dispatch_shards > 1 requires ring_impl='lamport': only "
-                "its fully shared indices let a restarted shard "
-                "re-attach its rings mid-stream")
         try:
             kernel = resolve_kernel_kind(kernel)
         except KernelError as exc:
@@ -200,28 +170,6 @@ DispatchPlane` and keeps only the worker control plane.
                 self.recorder.note("monitor.kernel_degraded",
                                    ts=time.monotonic(), requested="cffi",
                                    substitute="numpy", reason=reason)
-        if dispatch_shards != shards_requested:
-            self.recorder.note("monitor.shards_clamped",
-                               ts=time.monotonic(),
-                               requested=shards_requested,
-                               effective=dispatch_shards,
-                               n_vris=n_vris)
-        #: How many dispatcher-shard processes run the pipeline (1 =
-        #: classic inline dispatch; resolved from REPRO_DISPATCH_SHARDS
-        #: when the argument is None, clamped to ``n_vris`` so no shard
-        #: owns an empty VRI subset).
-        self.dispatch_shards = dispatch_shards
-        self._plane = None
-        if dispatch_shards > 1 and span_sample_every:
-            # Probe spans need the dispatcher and the drain in one
-            # process to stamp both ends; with dispatch sharded the
-            # monitor touches neither, so sampling is forced off rather
-            # than silently recording nothing.
-            self.recorder.note("monitor.spans_disabled",
-                               ts=time.monotonic(),
-                               reason="dispatch_shards",
-                               shards=dispatch_shards)
-            span_sample_every = 0
         #: Frame-latency spans, wall-clock, 1-in-N sampled via ring-record
         #: probes (0 = off: dispatch pays one compare, drain one slice).
         self.spans = SpanRecorder(
@@ -275,15 +223,9 @@ DispatchPlane` and keeps only the worker control plane.
         #: deterministic stride sampler — over real ring occupancy.
         try:
             from repro.overload import build_controller
-            controller = build_controller(
+            self.overload = build_controller(
                 overload_policy, overload_opts, default_registry(),
                 scope_labels={"rt": self.obs_id})
-            # Sharded mode moves admission inside the shards (each runs
-            # its own AIMD controller, coupled through the shared
-            # verdict): a monitor-side controller would double-shed.
-            # Building it anyway validates the spec before any process
-            # spawns; it is simply not retained.
-            self.overload = controller if dispatch_shards == 1 else None
         except ConfigError as exc:
             raise RuntimeBackendError(str(exc)) from exc
         #: Set by an attached Supervisor; /healthz reads its slot states.
@@ -313,15 +255,13 @@ DispatchPlane` and keeps only the worker control plane.
             self.arena = FrameArena(self._arena_segment.buf,
                                     chunks_per_class=cpc,
                                     n_reclaim=self._arena_n_reclaim)
-            # Sharded mode: each shard owns a disjoint producer over
-            # its chunk partition; the monitor stages nothing itself.
-            self._arena_prod = (self.arena.producer()
-                                if dispatch_shards == 1 else None)
+            self._arena_prod = self.arena.producer()
             registry = default_registry()
-            registry.gauge(
+            self._g_arena_inuse = registry.gauge(
                 "arena_inuse_bytes",
                 "bytes of live frame chunks in the shared arena",
-                rt=self.obs_id).set_fn(self.arena.inuse_bytes)
+                rt=self.obs_id)
+            self._g_arena_inuse.set_fn(self.arena.inuse_bytes)
             self._c_arena_alloc = registry.counter(
                 "arena_alloc_total", "arena chunk allocations served",
                 rt=self.obs_id)
@@ -365,25 +305,11 @@ DispatchPlane` and keeps only the worker control plane.
                 core = (cores[i] if cores is not None and i < len(cores)
                         else available[i % len(available)])
                 self.vris.append(self._spawn(i + 1, core))
-            if dispatch_shards > 1:
-                from repro.dispatch.plane import DispatchPlane
-                try:
-                    self._plane = DispatchPlane(
-                        self, dispatch_shards,
-                        overload_policy=overload_policy,
-                        overload_opts=overload_opts,
-                        egress_counts=dispatch_egress_counts,
-                        profile_base=dispatch_profile_base)
-                except ConfigError as exc:
-                    raise RuntimeBackendError(str(exc)) from exc
         except BaseException:
             # A later spawn failed: without this, the earlier workers'
             # segments (and the arena segment) would outlive the
             # constructor in /dev/shm (the caller never gets a handle
             # to stop()).
-            if self._plane is not None:
-                self._plane._teardown(kill=True)
-                self._plane = None
             for vri in self.vris:
                 if vri.process.is_alive():
                     vri.process.kill()
@@ -439,23 +365,26 @@ DispatchPlane` and keeps only the worker control plane.
                 segment.close()
             raise
         registry = default_registry()
+        gauges = []
         for ring, tag in zip(rings, _RING_TAGS):
             # Pull-mode gauge over the ring's bare hwm attribute: the
             # data plane never touches the registry.  A respawn rebinds
             # the same gauge to the replacement ring.
-            registry.gauge(
+            gauge = registry.gauge(
                 "ring_occupancy_hwm",
                 "highest occupancy a runtime shm ring reached (LVRM side)",
-                rt=self.obs_id, vri=str(vri_id), ring=tag,
-            ).set_fn(lambda r=ring: r.hwm)
-        # Per-VRI *live* fill (not just the max across workers): the
-        # shard-aware shedding signal — each shard's AIMD controller
-        # reads only its own VRIs — and the /overload occupancy map.
-        registry.gauge(
+                rt=self.obs_id, vri=str(vri_id), ring=tag)
+            gauge.set_fn(lambda r=ring: r.hwm)
+            gauges.append(gauge)
+        # Per-VRI *live* data-ring fill (not just the max across
+        # workers).
+        gauge = registry.gauge(
             "ring_occupancy_ratio",
             "current data-ring fill of one worker, normalized to capacity",
-            rt=self.obs_id, vri=str(vri_id),
-        ).set_fn(lambda r=rings[0], c=self.ring_capacity: _ring_fill(r, c))
+            rt=self.obs_id, vri=str(vri_id))
+        capacity = self.ring_capacity
+        gauge.set_fn(lambda r=rings[0]: len(r) / capacity)
+        gauges.append(gauge)
         self.recorder.note("worker.spawn", ts=time.monotonic(),
                            vri=vri_id, core=core_id, pid=process.pid)
         if _TRACE.enabled:
@@ -465,7 +394,8 @@ DispatchPlane` and keeps only the worker control plane.
         return RuntimeVriHandle(vri_id, core_id, process, segs,
                                 data_in=rings[0], data_out=rings[1],
                                 ctrl_in=rings[2], ctrl_out=rings[3],
-                                last_heartbeat=time.monotonic())
+                                last_heartbeat=time.monotonic(),
+                                gauges=tuple(gauges))
 
     def _retire(self, vri: RuntimeVriHandle, reason: str) -> None:
         """Capture final ring stats, then release rings and segments.
@@ -476,12 +406,6 @@ DispatchPlane` and keeps only the worker control plane.
         producer-side exact HWM lives in the worker process — the probe
         is the best view this side has).
         """
-        if self._plane is not None and not self._plane.stopped:
-            # The owning shard is the retiring worker's data-ring
-            # producer/consumer: it drains the residue and frees the
-            # arena chunks when the detach event lands.  This side only
-            # counts the stranding below.
-            self._plane.detach_vri(vri.vri_id)
         hwm: Dict[str, int] = {}
         for ring, tag in zip(vri.rings(), _RING_TAGS):
             ring.probe_occupancy()
@@ -529,12 +453,6 @@ DispatchPlane` and keeps only the worker control plane.
         others the stranded input chunks are leaked until teardown
         (bounded by ring capacity per failover).
         """
-        if self._arena_prod is None:
-            # Sharded dispatch: the owning shard reclaims through its
-            # detach path while the plane runs; once the plane has
-            # stopped the whole arena is about to be released, so
-            # there is nothing left worth salvaging here.
-            return
         free = self._arena_prod.free_local
         freed = 0
         try:
@@ -567,6 +485,7 @@ DispatchPlane` and keeps only the worker control plane.
 
     def _release_arena(self) -> None:
         if self.arena is not None:
+            self._g_arena_inuse.freeze(0.0)
             self.arena.close()
             self.arena = None
             self._arena_prod = None
@@ -576,7 +495,15 @@ DispatchPlane` and keeps only the worker control plane.
 
     @staticmethod
     def _release(vri: RuntimeVriHandle) -> None:
-        """Close rings and unlink this side's (owned) shm segments."""
+        """Close rings and unlink this side's (owned) shm segments.
+
+        The registry outlives the worker, so its gauges let go of the
+        rings first: each HWM keeps its final value, the fill reads 0.
+        """
+        *hwms, fill = vri.gauges
+        for gauge in hwms:
+            gauge.freeze()
+        fill.freeze(0.0)
         for ring in vri.rings():
             ring.close()
         for segment in vri.segments:
@@ -584,12 +511,6 @@ DispatchPlane` and keeps only the worker control plane.
 
     def stop(self, timeout: float = 5.0) -> None:
         """Cooperative stop, escalating to ``kill()`` like the thesis."""
-        if self._plane is not None:
-            # Shards quiesce first: they are the live producers and
-            # consumers of the worker data rings, so stopping them
-            # before the workers is what makes the workers' own
-            # cooperative drain (and this side's reclaim) race-free.
-            self._plane.stop(timeout)
         for vri in self.vris:
             vri.ctrl_in.try_push(encode_event(
                 ControlEvent(KIND_STOP, 0, vri.vri_id)))
@@ -632,12 +553,7 @@ DispatchPlane` and keeps only the worker control plane.
                 continue
             vri.process.join(0.1)
             self._retire(vri, "respawn")
-            handle = self._spawn(vri.vri_id, vri.core_id)
-            self.vris[idx] = handle
-            if self._plane is not None and not self._plane.stopped:
-                self._plane.attach_vri(handle.vri_id,
-                                       handle.segments[0].name,
-                                       handle.segments[1].name)
+            self.vris[idx] = self._spawn(vri.vri_id, vri.core_id)
             replaced += 1
         self.respawned += replaced
         return replaced
@@ -670,46 +586,12 @@ DispatchPlane` and keeps only the worker control plane.
                 f"[1, {self._arena_n_reclaim})")
         handle = self._spawn(vri_id, core_id)
         self.vris.append(handle)
-        if self._plane is not None and not self._plane.stopped:
-            self._plane.attach_vri(handle.vri_id,
-                                   handle.segments[0].name,
-                                   handle.segments[1].name)
         self.respawned += 1
         return handle
-
-    # -- data plane --------------------------------------------------------------------
-    # The pipeline itself (classify -> admit -> balance -> stage ->
-    # push -> drain) is inherited from DispatchPipeline, shared
-    # verbatim with the dispatcher shards.  With a dispatch plane
-    # attached, the monitor keeps only the split: flow-hash, steer,
-    # jumbo-push; everything downstream runs inside the shards.
-
-    def dispatch(self, frame: bytes, t_capture: float = 0.0) -> bool:
-        if self._plane is not None:
-            if not self.vris:
-                raise RuntimeBackendError("monitor is stopped")
-            return self._plane.dispatch(frame)
-        return DispatchPipeline.dispatch(self, frame, t_capture)
-
-    def dispatch_many(self, frames: List[bytes]) -> int:
-        if self._plane is not None:
-            if not self.vris:
-                raise RuntimeBackendError("monitor is stopped")
-            return self._plane.split(frames)
-        return DispatchPipeline.dispatch_many(self, frames)
-
-    def drain(self) -> List[Tuple[int, int, bytes]]:
-        if self._plane is not None:
-            return self._plane.drain()
-        return DispatchPipeline.drain(self)
 
     # -- control plane -------------------------------------------------------------------
     def pump_control(self) -> List[ControlEvent]:
         """Relay inter-VRI control events; absorb service-rate reports."""
-        if self._plane is not None and not self._plane.stopped:
-            # Shard telemetry first: heartbeats, delta-folded stats,
-            # per-shard overload state.
-            self._plane.pump()
         absorbed: List[ControlEvent] = []
         by_id: Dict[int, RuntimeVriHandle] = {v.vri_id: v for v in self.vris}
         for vri in self.vris:
@@ -794,27 +676,19 @@ DispatchPlane` and keeps only the worker control plane.
 
     def slot_states(self) -> Dict[str, str]:
         """Per-slot health for ``/healthz``: the attached supervisor's
-        state machine when one is driving, else raw process liveness.
-        Dispatcher shards report alongside the worker slots."""
+        state machine when one is driving, else raw process liveness."""
         if self.supervisor is not None:
-            states = {f"vri{slot}": state.upper()
-                      for slot, state in self.supervisor.state.items()}
-        else:
-            states = {f"vri{v.vri_id}":
-                      ("RUNNING" if v.process.is_alive() else "DEAD")
-                      for v in self.vris}
-        if self._plane is not None and not self._plane.stopped:
-            for shard in self._plane.shards:
-                states[f"shard{shard.shard_id}"] = (
-                    "RUNNING" if shard.process.is_alive() else "DEAD")
-        return states
+            return {f"vri{slot}": state.upper()
+                    for slot, state in self.supervisor.state.items()}
+        return {f"vri{v.vri_id}":
+                ("RUNNING" if v.process.is_alive() else "DEAD")
+                for v in self.vris}
 
     def topology(self) -> Dict:
         """The VR → VRI → core map ``/topology`` serves (runtime
         monitors host a single VR)."""
         return {"backend": "runtime", "rt": self.obs_id,
                 "balancer": self.balancer, "ring_impl": self.ring_impl,
-                "dispatch_shards": self.dispatch_shards,
                 "vrs": {"vr0": [
                     {"vri": v.vri_id, "core": v.core_id,
                      "pid": v.process.pid, "alive": v.process.is_alive()}
@@ -838,29 +712,24 @@ DispatchPlane` and keeps only the worker control plane.
         return recorder.state()
 
     def _overload_view(self) -> Dict:
-        """What ``/overload`` serves: the admission state (per-shard
-        states plus the shared verdict when dispatch is sharded) with
-        the per-VRI occupancy map the shedding decisions read."""
-        if self._plane is not None and not self._plane.stopped:
-            state = self._plane.overload_state()
-        elif self.overload is not None:
-            state = self.overload.state()
-        else:
+        """What ``/overload`` serves: the admission state with the
+        per-VRI occupancy map the shedding decisions read."""
+        if self.overload is None:
             return {}
+        state = self.overload.state()
         state["occupancy"] = {str(k): round(v, 4)
                               for k, v in self.occupancies().items()}
         return state
 
     def admin_state(self) -> AdminState:
         """A poll-based admin view over this monitor (no sockets)."""
-        has_overload = (self.overload is not None
-                        or self._plane is not None)
         return AdminState(default_registry(),
                           health_fn=self.slot_states,
                           topology_fn=self.topology,
                           spans_fn=self.spans.jsonl,
                           overload_fn=(self._overload_view
-                                       if has_overload else None),
+                                       if self.overload is not None
+                                       else None),
                           slo_fn=self._slo_state,
                           replay_fn=self._replay_state)
 

@@ -12,12 +12,7 @@ one supervision sweep:
 3. within the per-slot restart budget, schedule a replacement under
    bounded exponential backoff; past the budget the slot is *degraded*
    and the monitor simply runs with fewer workers;
-4. when the sharded dispatch plane is armed (``dispatch_shards > 1``),
-   sweep the dispatcher shards too: a crashed or hung shard is
-   restarted in place over its original rings (no budget — a dead
-   shard strands 1/K of the VRIs, and the splitter's resteer only
-   covers new traffic while it's down);
-5. perform every scheduled respawn whose backoff has expired, and tell
+4. perform every scheduled respawn whose backoff has expired, and tell
    the fresh worker which attempt it is (``KIND_RESTART``).
 
 The per-slot state machine (diagrammed in docs/RELIABILITY.md)::
@@ -134,10 +129,6 @@ class Supervisor:
             "supervisor_degraded_total",
             "failures absorbed without a replacement (budget exhausted)",
             **labels)
-        self.c_shard_failovers = reg.counter(
-            "supervisor_shard_failovers_total",
-            "dispatcher-shard failures (crash or hang) restarted in place",
-            **labels)
 
     # -- read-through counters ------------------------------------------------
     @property
@@ -169,7 +160,6 @@ class Supervisor:
                 continue
             failed += 1
             self._fail_over(vri, "crash" if crashed else "hang", now)
-        failed += self._sweep_shards(now, hb_enabled)
         self._respawn_due(now)
         if self.watchdog is not None:
             breaches = self.watchdog.evaluate(
@@ -180,44 +170,6 @@ class Supervisor:
                 # queues overflow into supervisor-visible drops.
                 overload.note_slo(any(b.get("kind") == "p99_latency_ms"
                                       for b in breaches))
-        return failed
-
-    def _sweep_shards(self, now: float, hb_enabled: bool) -> int:
-        """Liveness sweep over the sharded dispatch plane (when armed).
-
-        Dispatcher shards differ from worker slots: a dead shard
-        strands 1/K of the VRIs (the splitter resteers its buckets to
-        survivors meanwhile), so shards are restarted in place over
-        their original Lamport rings — queued ingest survives — with
-        no budget or backoff.  A shard that heartbeats but stopped
-        draining is caught by the same heartbeat timeout as workers."""
-        plane = getattr(self.lvrm, "_plane", None)
-        if plane is None or plane.stopped:
-            return 0
-        failed = 0
-        for sid in plane.dead_shards():
-            failed += 1
-            self.c_shard_failovers.inc()
-            self.lvrm.recorder.note("supervisor.shard_failover", ts=now,
-                                    shard=sid, reason="crash")
-            if _TRACE.enabled:
-                _TRACE.instant("supervisor.shard_failover", ts=now,
-                               cat="replay", track="lvrm", shard=sid,
-                               reason="crash")
-            plane.restart_shard(sid)
-        if hb_enabled:
-            for sid, age in plane.heartbeat_ages().items():
-                if age <= self.policy.heartbeat_timeout:
-                    continue
-                failed += 1
-                self.c_shard_failovers.inc()
-                self.lvrm.recorder.note("supervisor.shard_failover",
-                                        ts=now, shard=sid, reason="hang")
-                if _TRACE.enabled:
-                    _TRACE.instant("supervisor.shard_failover", ts=now,
-                                   cat="replay", track="lvrm", shard=sid,
-                                   reason="hang")
-                plane.restart_shard(sid)  # kills the hung process first
         return failed
 
     def _postmortem(self, slot: int, reason: str) -> Optional[str]:

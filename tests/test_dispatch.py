@@ -1,27 +1,14 @@
-"""Sharded dispatch plane: splitter codecs, shared verdict, sharded ≡
-single-dispatcher equivalence, kill-a-shard conservation, the DES twin's
-bit-reproducibility, and /dev/shm cleanliness for shard segments."""
+"""The RSS-style flow hash in ``repro.dispatch.splitter``: scalar and
+vectorized forms agree, and the hash follows the 5-tuple."""
 
 import itertools
-import os
 import struct
-import time
-from collections import Counter, defaultdict
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dispatch.splitter import (hash_frame, hash_frames, pack_burst,
-                                     pack_egress, shard_of_hash,
-                                     unpack_burst, unpack_egress)
-from repro.errors import ConfigError
+from repro.dispatch.splitter import hash_frame, hash_frames
 from repro.net.addresses import ip_to_int
 from repro.net.packet import build_udp_frame
-from repro.obs.registry import default_registry
-from repro.overload import SharedVerdict, verdict_bytes_needed
-from repro.runtime import RuntimeLvrm
 
 # ---------------------------------------------------------------------------
 # traffic helpers
@@ -33,9 +20,8 @@ _TAG = struct.Struct("<II")  # (flow, seq) in the payload head
 
 
 def _flow_frame(flow: int, seq: int) -> bytes:
-    """A routable frame whose 5-tuple is determined by ``flow`` (so the
-    splitter steers every frame of a flow to the same shard) and whose
-    payload carries ``(flow, seq)`` for order/identity checks."""
+    """A routable frame whose 5-tuple is determined by ``flow`` and whose
+    payload carries ``(flow, seq)``."""
     bases = (ip_to_int("10.1.1.0"), ip_to_int("10.2.1.0"))
     return build_udp_frame(0x020000000001, 0x020000000002,
                            ip_to_int("10.9.0.1") + flow,
@@ -46,10 +32,6 @@ def _flow_frame(flow: int, seq: int) -> bytes:
 
 def _burst(flows) -> list:
     return [_flow_frame(flow, next(_SEQ)) for flow in flows]
-
-
-def _tag(frame: bytes):
-    return _TAG.unpack_from(frame, 42)
 
 
 # ---------------------------------------------------------------------------
@@ -82,284 +64,3 @@ def test_short_frames_hash_deterministically():
     runt = b"\x01\x02\x03"
     assert hash_frame(runt) == hash_frame(runt)
     assert hash_frames([runt, runt]).tolist() == [hash_frame(runt)] * 2
-
-
-def test_steer_table_covers_all_shards():
-    steer = np.arange(256, dtype=np.intp) % 3
-    frames = _burst([i % N_FLOWS for i in range(64)])
-    sids = shard_of_hash(hash_frames(frames), steer)
-    assert set(np.unique(sids).tolist()) <= {0, 1, 2}
-
-
-# ---------------------------------------------------------------------------
-# splitter: jumbo codecs
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.binary(min_size=0, max_size=60), max_size=30))
-def test_pack_unpack_burst_roundtrip(frames):
-    records = pack_burst(frames, max_bytes=256)
-    assert sum(n for _rec, n in records) == len(frames)
-    out = [f for rec, _n in records for f in unpack_burst(rec)]
-    assert out == frames
-    for rec, _n in records:
-        assert len(rec) <= 256
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF),
-                          st.binary(min_size=0, max_size=60)), max_size=30))
-def test_pack_unpack_egress_roundtrip(outs):
-    records = pack_egress(outs, max_bytes=256)
-    got = [item for rec in records for item in unpack_egress(rec)]
-    assert got == outs
-    for rec in records:
-        assert len(rec) <= 256
-
-
-def test_pack_burst_oversized_frame_is_config_error():
-    with pytest.raises(ValueError):
-        pack_burst([b"x" * 300], max_bytes=256)
-
-
-# ---------------------------------------------------------------------------
-# shared verdict
-# ---------------------------------------------------------------------------
-
-def test_shared_verdict_element_min_and_reset():
-    buf = bytearray(verdict_bytes_needed(3, 2))
-    verdict = SharedVerdict(buf, 3, 2)
-    assert verdict.rates() == [1.0, 1.0]          # born fully open
-    verdict.publish(0, [1 << 16, 1 << 15])        # shard 0 halves class 1
-    verdict.publish(2, [1 << 14, 1 << 16])        # shard 2 quarters class 0
-    assert verdict.effective() == [1 << 14, 1 << 15]
-    assert verdict.rates() == [0.25, 0.5]
-    # A second attacher sees the same table through shared memory.
-    peer = SharedVerdict.attach(buf)
-    assert peer.effective() == [1 << 14, 1 << 15]
-    # The dispatch plane reopens a crashed shard's row pre-respawn.
-    verdict.reset(2)
-    assert verdict.rates() == [1.0, 0.5]
-    peer.close()
-    verdict.close()
-
-
-def test_shared_verdict_geometry_checks():
-    buf = bytearray(verdict_bytes_needed(2, 3))
-    verdict = SharedVerdict(buf, 2, 3)
-    with pytest.raises(ConfigError):
-        SharedVerdict(buf, 4, 3, create=False)
-    with pytest.raises(ConfigError):
-        verdict.publish(0, [1, 2])                # wrong class count
-    with pytest.raises(ConfigError):
-        SharedVerdict.attach(bytearray(64))       # no magic
-    verdict.close()
-
-
-# ---------------------------------------------------------------------------
-# sharded ≡ single-dispatcher equivalence (hypothesis, real processes)
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def sharded_lvrm():
-    with RuntimeLvrm(n_vris=2, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=2) as lvrm:
-        yield lvrm
-
-
-@pytest.fixture(scope="module")
-def single_lvrm():
-    # dispatch_shards pinned to 1: this fixture is the inline-dispatch
-    # reference, and must stay inline even when parity CI exports
-    # REPRO_DISPATCH_SHARDS=2.
-    with RuntimeLvrm(n_vris=2, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=1) as lvrm:
-        yield lvrm
-
-
-def test_shards_clamped_to_vri_count():
-    """More shards than VRIs would leave shards owning an empty VRI
-    subset that black-holes every flow steered to them; the monitor
-    clamps instead and leaves a flight-recorder note."""
-    with RuntimeLvrm(n_vris=1, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=4) as lvrm:
-        assert lvrm.dispatch_shards == 1
-        assert lvrm._plane is None
-        notes = [e for e in lvrm.recorder.events()
-                 if e.name == "monitor.shards_clamped"]
-        assert notes and notes[0].args["requested"] == 4
-        assert notes[0].args["effective"] == 1
-
-
-@pytest.mark.timeout(180)
-@settings(max_examples=10, deadline=None)
-@given(st.lists(st.integers(0, N_FLOWS - 1), min_size=1, max_size=64))
-def test_sharded_output_matches_single_dispatcher(sharded_lvrm, single_lvrm,
-                                                  flows):
-    """Any interleaving of flows produces the same output multiset from
-    the 2-shard plane as from the inline dispatcher, and the sharded
-    plane preserves per-flow FIFO (the RSS-hash contract: one flow, one
-    shard, one ordered path)."""
-    frames = _burst(flows)
-    results = {}
-    for name, lvrm in (("sharded", sharded_lvrm), ("single", single_lvrm)):
-        sent = lvrm.dispatch_many(list(frames))
-        assert sent == len(frames)
-        outs = lvrm.drain_until(len(frames), timeout=20.0)
-        assert len(outs) == len(frames)
-        results[name] = [bytes(f) for _vri, _iface, f in outs]
-    want = Counter(bytes(f) for f in frames)
-    assert Counter(results["sharded"]) == want
-    assert Counter(results["single"]) == want
-    # Per-flow FIFO on the sharded path: seqs were assigned in dispatch
-    # order, so each flow's drained seqs must be strictly increasing.
-    per_flow = defaultdict(list)
-    for frame in results["sharded"]:
-        flow, seq = _tag(frame)
-        per_flow[flow].append(seq)
-    for flow, seqs in per_flow.items():
-        assert seqs == sorted(seqs), f"flow {flow} reordered: {seqs}"
-
-
-# ---------------------------------------------------------------------------
-# kill-a-shard: conservation + forwarding resumes
-# ---------------------------------------------------------------------------
-
-def _fold_by_class(name: str, obs_id: str):
-    out = {}
-    for inst in default_registry().find(name, rt=obs_id):
-        cls = dict(inst.labels).get("cls", "all")
-        out[cls] = out.get(cls, 0.0) + inst.value
-    return out
-
-
-@pytest.mark.timeout(180)
-def test_kill_a_shard_conserves_counters_and_recovers():
-    """The ISSUE 10 acceptance drill: kill a dispatcher shard mid-stream
-    under priority-shed overload, let the crash sweep respawn it, and
-    the delta-folded counters still reconcile offered == admitted + shed
-    per class — frames lost to the kill vanish from all three series
-    coherently because they ride the same unshipped snapshot."""
-    drained_after_kill = 0
-    with RuntimeLvrm(n_vris=2, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=2,
-                     overload_policy="priority-shed",
-                     stats_interval=0.05) as lvrm:
-        obs_id = lvrm.obs_id
-        plane = lvrm._plane
-        frames = _burst([i % N_FLOWS for i in range(128)])
-        deadline = time.monotonic() + 0.5
-        while time.monotonic() < deadline:
-            lvrm.dispatch_many(list(frames))
-            lvrm.drain()
-            lvrm.pump_control()
-        plane.shards[0].process.kill()
-        plane.shards[0].process.join(5.0)
-        assert plane.dead_shards() == [0]
-        assert plane.poll() == 1                  # the crash sweep
-        assert plane.restarts == 1
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
-            lvrm.dispatch_many(list(frames))
-            drained_after_kill += len(lvrm.drain())
-            lvrm.pump_control()
-        # Let in-flight work finish so the final fold is quiescent.
-        settle = time.monotonic() + 1.0
-        while time.monotonic() < settle:
-            drained_after_kill += len(lvrm.drain())
-            lvrm.pump_control()
-            time.sleep(0.01)
-    assert drained_after_kill > 0                 # forwarding resumed
-    offered = _fold_by_class("dispatch_offered_total", obs_id)
-    admitted = _fold_by_class("overload_admitted_total", obs_id)
-    shed = _fold_by_class("overload_shed_total", obs_id)
-    assert offered and sum(offered.values()) > 0
-    for cls in offered:
-        assert offered[cls] == admitted.get(cls, 0.0) + shed.get(cls, 0.0), (
-            f"class {cls}: offered {offered[cls]} != admitted "
-            f"{admitted.get(cls, 0.0)} + shed {shed.get(cls, 0.0)}")
-
-
-@pytest.mark.timeout(180)
-def test_worker_failover_under_sharding():
-    """Killing a *worker* (not a shard) while sharded: the shard must
-    hold that VRI's traffic through the detach/attach window instead of
-    crashing, and forwarding resumes once the replacement attaches."""
-    with RuntimeLvrm(n_vris=2, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=2) as lvrm:
-        victim = lvrm.vris[0]
-        victim.process.kill()
-        victim.process.join(5.0)
-        assert [v.vri_id for v in lvrm.dead_workers()] == [victim.vri_id]
-        assert lvrm.respawn_dead() == 1
-        frames = _burst([i % N_FLOWS for i in range(32)])
-        sent = lvrm.dispatch_many(frames)
-        assert sent == len(frames)
-        outs = lvrm.drain_until(len(frames), timeout=20.0)
-        assert len(outs) == len(frames)
-        # No shard died in the process (regression check: the failover
-        # window used to crash the owning shard on dispatch).
-        assert lvrm._plane.dead_shards() == []
-        assert lvrm._plane.restarts == 0
-
-
-# ---------------------------------------------------------------------------
-# DES twin
-# ---------------------------------------------------------------------------
-
-def test_des_sharded_scenario_is_bit_reproducible(monkeypatch):
-    """The dispatch_variant(shards) twin stays inside the determinism
-    contract: two sharded DES runs with the same seed agree bit-for-bit
-    on the full report."""
-    from repro.faults import FaultSchedule, FaultSpec
-    from repro.faults.scenario import run_des_scenario
-
-    sched = FaultSchedule((FaultSpec(t=0.5, kind="kill", vri=1),))
-    a = run_des_scenario(sched, duration=1.5, dispatch_shards=2)
-    b = run_des_scenario(sched, duration=1.5, dispatch_shards=2)
-    assert a == b
-    assert a["dispatch_shards"] == 2
-    assert a["sent"] > 0
-    # The single-dispatcher twin still reports its own shape.  Clear
-    # the fleet-wide override first: parity CI exports
-    # REPRO_DISPATCH_SHARDS=2, which would otherwise reshape this
-    # default-shards run.
-    monkeypatch.delenv("REPRO_DISPATCH_SHARDS", raising=False)
-    c = run_des_scenario(sched, duration=1.5)
-    assert c["dispatch_shards"] == 1
-
-
-# ---------------------------------------------------------------------------
-# /dev/shm cleanliness
-# ---------------------------------------------------------------------------
-
-def _shm_entries():
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux: nothing to assert against
-        return None
-
-
-@pytest.mark.timeout(180)
-def test_sharded_stop_leaves_no_shm_segments():
-    """2 workers x 4 rings + the arena + 2 shards x 4 rings = 17
-    segments while running; a shard respawn reuses its rings (no new
-    segments); stop() unlinks every one."""
-    before = _shm_entries()
-    with RuntimeLvrm(n_vris=2, worker_lifetime=60.0, data_plane="arena",
-                     wait_strategy="yield", dispatch_shards=2) as lvrm:
-        during = _shm_entries()
-        if during is not None:
-            assert len(during - before) == 17
-        plane = lvrm._plane
-        plane.shards[1].process.kill()
-        plane.shards[1].process.join(5.0)
-        plane.poll()
-        if during is not None:
-            assert _shm_entries() == during       # respawn reused rings
-        frames = _burst([i % N_FLOWS for i in range(16)])
-        lvrm.dispatch_many(frames)
-        lvrm.drain_until(len(frames), timeout=20.0)
-    after = _shm_entries()
-    if after is not None:
-        assert after - before == set()

@@ -1,5 +1,9 @@
 """repro.faults: schedules, the DES injector, and the fault scenarios."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.core import FixedAllocation
@@ -7,8 +11,12 @@ from repro.core.lvrm import LvrmConfig
 from repro.errors import ConfigError
 from repro.experiments.common import build_lvrm_gateway
 from repro.faults import FaultInjector, FaultSchedule, FaultSpec
-from repro.faults.scenario import run_des_scenario
+from repro.faults.scenario import OVERLOAD_DST_PORTS, run_des_scenario
 from repro.ipc.sim_queue import Corrupted, SimIpcQueue
+from repro.net.addresses import ip_to_int
+from repro.net.packet import build_udp_frame
+from repro.obs.registry import default_registry
+from repro.runtime import RuntimeLvrm, Supervisor, SupervisorPolicy
 from repro.traffic import FrameSink, UdpSender
 
 
@@ -210,3 +218,74 @@ def test_des_scenario_without_faults_breaches_nothing():
     report = run_des_scenario(FaultSchedule(), duration=2.0)
     assert report["slo"]["breaching"] == []
     assert all(n == 0 for n in report["slo"]["breaches"].values())
+
+
+# ---------------------------------------------------------------------------
+# Runtime: conservation across a worker kill on the inline dispatch path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.timeout(60)
+def test_worker_kill_conserves_counters_and_recovers():
+    """Kill a worker with frames queued in its ring under priority-shed,
+    let the supervisor respawn it, and keep forwarding.  Per class,
+    offered == admitted + shed; every frame a ring accepted is drained
+    or counted stranded by the failover."""
+    burst = [build_udp_frame(0x02, 0x03, ip_to_int("10.1.1.2"),
+                             ip_to_int("10.2.1.2"), 10_000 + i, port,
+                             b"kill-drill")
+             for i, port in enumerate(OVERLOAD_DST_PORTS * 8)]
+    offered = accepted = drained = 0
+    with RuntimeLvrm(n_vris=2, ring_capacity=64, worker_lifetime=60.0,
+                     overload_policy="priority-shed") as lvrm:
+        supervisor = Supervisor(lvrm, SupervisorPolicy(restart_backoff=0.01))
+
+        def offer_for(seconds: float) -> None:
+            nonlocal offered, accepted, drained
+            end = time.monotonic() + seconds
+            while time.monotonic() < end:
+                offered += len(burst)
+                accepted += lvrm.dispatch_many(burst)
+                drained += len(lvrm.drain())
+                supervisor.poll()
+                time.sleep(0.005)
+
+        # Drain to idle, then freeze the victim: what it is given from
+        # here on stays queued in its ring, and its full ring drives the
+        # admission controller into shedding.
+        offered += len(burst)
+        accepted += lvrm.dispatch_many(burst)
+        drained += len(lvrm.drain_until(accepted, timeout=20.0))
+        victim = lvrm.vris[0]
+        os.kill(victim.process.pid, signal.SIGSTOP)
+        offer_for(0.3)
+        assert len(victim.data_in) > 0
+        victim.process.kill()
+        victim.process.join(5.0)
+        deadline = time.monotonic() + 10.0
+        while supervisor.restarts == 0:
+            assert time.monotonic() < deadline, "victim never respawned"
+            offer_for(0.02)
+        assert supervisor.failovers == 1
+        drained_before = drained
+        offer_for(0.3)
+        assert drained > drained_before              # forwarding resumed
+
+        stranded = sum(c.value for c in default_registry().find(
+            "vri_dropped_fault_total", rt=lvrm.obs_id))
+        assert stranded > 0
+        while drained + stranded < accepted:
+            assert time.monotonic() < deadline + 10.0, (
+                f"dispatched {accepted} != drained {drained} "
+                f"+ stranded {stranded}")
+            drained += len(lvrm.drain())
+            time.sleep(0.005)
+        assert drained + stranded == accepted
+        dispatched = (sum(v.dispatched for v in lvrm.vris)
+                      + sum(t["dispatched"] for t in lvrm.teardown_stats))
+        assert dispatched == accepted
+
+        ctl = lvrm.overload
+        assert sum(ctl.offered) == offered
+        assert sum(ctl.shed) > 0
+        for c, name in enumerate(ctl.classifier.classes):
+            assert ctl.offered[c] == ctl.admitted[c] + ctl.shed[c], name

@@ -7,9 +7,11 @@ order, and the runtime monitor must report ring occupancy high-water
 marks in its teardown stats.
 """
 
+import gc
 import io
 import json
 import time
+import weakref
 
 import pytest
 
@@ -64,6 +66,13 @@ def test_gauge_semantics():
     g.set_fn(lambda: backing["v"])
     backing["v"] = 9
     assert g.value == 9.0
+    # Freezing keeps the last pulled value and drops the callback.
+    g.freeze()
+    backing["v"] = 11
+    assert g.value == 9.0
+    g.set_fn(lambda: backing["v"])
+    g.freeze(0.0)
+    assert g.value == 0.0
 
 
 def test_histogram_semantics():
@@ -92,6 +101,50 @@ def test_registry_kind_conflict_and_clear():
     # being exported.
     c.inc()
     assert c.value == 1
+
+
+def test_registry_holds_no_finished_simulation(monkeypatch):
+    """The process-wide registry outlives every run; none of its gauges
+    may keep a finished run's Simulator reachable."""
+    from repro.experiments import run_experiment
+    from tests.des_cases import TINY
+
+    sims = []
+    init = Simulator.__init__
+
+    def tracking_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sims.append(weakref.ref(self))
+
+    monkeypatch.setattr(Simulator, "__init__", tracking_init)
+    run_experiment("exp1c", TINY)
+    gc.collect()
+    assert sims and all(ref() is None for ref in sims)
+    hwms = obs.default_registry().find("queue_occupancy_hwm")
+    assert hwms and max(g.value for g in hwms) > 0
+
+
+@pytest.mark.timeout(60)
+def test_registry_holds_no_stopped_ring_or_arena():
+    """Same for the runtime: once a monitor stops, its ring and arena
+    gauges keep their final values, not the rings and the arena."""
+    frame = build_udp_frame(0x02, 0x03, ip_to_int("10.1.1.2"),
+                            ip_to_int("10.2.1.2"), 1, 2, b"gauge")
+    lvrm = RuntimeLvrm(n_vris=1, data_plane="arena", worker_lifetime=20.0)
+    assert lvrm.dispatch_many([frame] * 8) == 8
+    assert len(lvrm.drain_until(8, timeout=20.0)) == 8
+    refs = [weakref.ref(r) for r in lvrm.vris[0].rings()]
+    refs.append(weakref.ref(lvrm.arena))
+    obs_id = lvrm.obs_id
+    lvrm.stop()
+    del lvrm
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    reg = obs.default_registry()
+    (hwm,) = reg.find("ring_occupancy_hwm", rt=obs_id, ring="data_in")
+    assert 1 <= hwm.value <= 8
+    (fill,) = reg.find("ring_occupancy_ratio", rt=obs_id)
+    assert fill.value == 0.0
 
 
 # -- exporters ---------------------------------------------------------------
