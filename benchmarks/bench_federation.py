@@ -1,9 +1,8 @@
 """Federation benchmark: failover time, recovery, and shard scaling.
 
-Writes ``BENCH_federation.json`` at the repo root.  Unlike the
-wall-clock micro-benches, every number here is **DES sim-time** — a
-pure function of the scenario configs, host-independent and therefore
-stable under the ``--check`` regression gate:
+Writes ``BENCH_federation.json`` at the repo root.  Every number here
+is **DES sim-time** — a pure function of the scenario configs and
+host-independent, so the exit code gates (1 on any missed threshold):
 
 * ``federation_failover``  — speedup = failover budget (2 supervision
   periods) over the measured failover time of the canned

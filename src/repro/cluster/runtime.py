@@ -26,7 +26,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.errors import RuntimeBackendError
-from repro.ipc.factory import attach_ring, make_ring, ring_bytes_for
+from repro.ipc.ring import SpscRing, ring_bytes_needed
 from repro.ipc.messages import (ControlEvent, KIND_ELECT, KIND_REPLICATE,
                                 KIND_VIP_MOVE, decode_event, encode_event)
 from repro.ipc.shm import SharedSegment
@@ -145,11 +145,11 @@ class RuntimeFederation:
         self.routes_announced = 0
         # The control ring is a real shared segment: what two monitor
         # processes on one host would actually share.
-        seg_bytes = ring_bytes_for("lamport", _REPL_CAPACITY, _REPL_SLOT)
-        self._repl_seg = SharedSegment.create(seg_bytes)
-        self._repl_tx = make_ring("lamport", self._repl_seg.buf,
-                                  _REPL_CAPACITY, _REPL_SLOT)
-        self._repl_rx = attach_ring("lamport", self._repl_seg.buf)
+        self._repl_seg = SharedSegment.create(
+            ring_bytes_needed(_REPL_CAPACITY, _REPL_SLOT))
+        self._repl_tx = SpscRing(self._repl_seg.buf, _REPL_CAPACITY,
+                                 _REPL_SLOT, create=True)
+        self._repl_rx = SpscRing.attach(self._repl_seg.buf)
         self.director = ClusterDirector(
             list(self.members.values()), clock=time.monotonic,
             probe_period=probe_period, crash_timeout=crash_timeout,

@@ -107,10 +107,6 @@ class LvrmConfig:
     #: :meth:`~repro.hardware.costs.CostModel.arena_variant`; in the
     #: runtime backend it selects the real arena.
     data_plane: str = "copy"
-    #: Idle-wait behaviour of the runtime poll loops: ``spin`` |
-    #: ``yield`` | ``sleep`` (see :class:`repro.ipc.wait.WaitPolicy`).
-    #: The DES ignores it (simulated queues never busy-wait).
-    wait_strategy: str = "sleep"
     #: Burst kernel of the data-plane hot path: ``scalar`` | ``numpy``
     #: | ``cffi`` (``None`` = session default, which honors the
     #: ``REPRO_KERNEL`` env var; see :mod:`repro.kernels`).  In the DES
@@ -148,11 +144,6 @@ class LvrmConfig:
             raise ConfigError(
                 f"data_plane must be 'copy' or 'arena', got "
                 f"{self.data_plane!r}")
-        from repro.ipc.wait import WAIT_STRATEGIES
-        if self.wait_strategy not in WAIT_STRATEGIES:
-            raise ConfigError(
-                f"wait_strategy must be one of {WAIT_STRATEGIES}, got "
-                f"{self.wait_strategy!r}")
         from repro.errors import KernelError
         from repro.kernels import resolve_kernel_kind
         try:

@@ -70,12 +70,6 @@ class DispatchPipeline:
             return {}
         return {v.vri_id: len(v.data_in) / cap for v in self.vris}
 
-    @staticmethod
-    def _flush(ring) -> None:
-        flush = getattr(ring, "flush", None)
-        if flush is not None:
-            flush()
-
     def dispatch(self, frame: bytes, t_capture: float = 0.0) -> bool:
         """Balance one raw frame to a worker; False when its ring is full.
 
@@ -109,7 +103,6 @@ class DispatchPipeline:
         if ok:
             vri.dispatched += 1
             self._c_dispatched.inc()
-            self._flush(vri.data_in)
             if _TRACE.enabled:
                 self._push_pending[vri.vri_id] = (
                     self._push_pending.get(vri.vri_id, 0) + 1)
@@ -170,7 +163,6 @@ class DispatchPipeline:
             vri.dispatched += 1
             self._c_dispatched.inc()
             self._c_arena_alloc.inc()
-            self._flush(vri.data_in)
             if _TRACE.enabled:
                 self._push_pending[vri.vri_id] = (
                     self._push_pending.get(vri.vri_id, 0) + 1)
@@ -219,7 +211,6 @@ class DispatchPipeline:
             n = vri.data_in.try_push_many(remaining)
             if n:
                 vri.dispatched += n
-                self._flush(vri.data_in)
                 sent += n
                 remaining = remaining[n:]
                 if _TRACE.enabled:
@@ -293,7 +284,6 @@ class DispatchPipeline:
             n = vri.data_in.try_push_desc_block(block[sent:])
             if n:
                 vri.dispatched += n
-                self._flush(vri.data_in)
                 sent += n
                 if _TRACE.enabled:
                     _TRACE.instant("ring.push", ts=time.monotonic(),

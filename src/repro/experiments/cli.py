@@ -160,7 +160,6 @@ def _cmd_faults(args) -> int:
                                       admin_port=args.admin_port,
                                       postmortem_dir=args.postmortem_dir,
                                       data_plane=args.data_plane,
-                                      wait_strategy=args.wait_strategy,
                                       kernel=args.kernel,
                                       overload_policy=args.overload_policy,
                                       overload_x=args.overload_x,
@@ -389,10 +388,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="frame transport: copy rings (default) or "
                              "the zero-copy shared-memory arena with "
                              "descriptor rings (docs/PERFORMANCE.md)")
-    faults.add_argument("--wait-strategy", default="sleep",
-                        choices=["spin", "yield", "sleep"],
-                        help="runtime backend idle-wait policy for the "
-                             "poll loops (latency vs idle CPU)")
     faults.add_argument("--kernel", default=None,
                         choices=["scalar", "numpy", "cffi"],
                         help="burst kernel for the data-plane hot path "

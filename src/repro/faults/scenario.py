@@ -266,7 +266,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
                          admin_port: Optional[int] = None,
                          postmortem_dir: Optional[str] = None,
                          data_plane: str = "copy",
-                         wait_strategy: str = "sleep",
                          kernel: Optional[str] = None,
                          overload_policy: str = "none",
                          overload_x: float = 1.0,
@@ -334,7 +333,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
                            stats_interval=stats_interval,
                            span_sample_every=span_sample_every,
                            data_plane=data_plane,
-                           wait_strategy=wait_strategy,
                            kernel=kernel,
                            overload_policy=overload_policy,
                            overload_opts=overload_opts)
@@ -448,7 +446,6 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
         "backend": "runtime",
         "duration": duration,
         "data_plane": data_plane,
-        "wait_strategy": wait_strategy,
         "kernel": lvrm.kernel,
         "offered": offered,
         "dispatched": dispatched,

@@ -94,8 +94,9 @@ class CostModel:
     # -- burst kernels (repro.kernels) -------------------------------------------
     #: Per-frame VR service cost multiplier of the vectorized numpy
     #: kernel relative to the scalar reference: whole-burst header
-    #: gathers + interval-table LPM amortize the interpreter away
-    #: (calibrated against BENCH_kernels.json ``kernel_hop_*``).
+    #: gathers + interval-table LPM amortize the interpreter away.
+    #: Hand-set, not fitted: ``bench/``'s
+    #: ``kernels.route_block.ns_per_frame.*`` rows are the measured costs.
     kernel_numpy_factor: float = 0.40
     #: Same for the compiled cffi/ctypes burst loop.
     kernel_cffi_factor: float = 0.25

@@ -2,12 +2,16 @@
 
 The thesis: "Our current lock-free queue implementation is based on
 [23] (Lamport), while other improved lock-free queue implementations
-[17, 24] can also be used in LVRM."  All three are implemented here and
-selectable by name:
+[17, 24] can also be used in LVRM."  All three are implemented and
+constructible by name:
 
 * ``"lamport"``     — :class:`~repro.ipc.ring.SpscRing`
 * ``"fastforward"`` — :class:`~repro.ipc.fastforward.FastForwardRing` [17]
 * ``"mcring"``      — :class:`~repro.ipc.mcring.McRingBuffer` [24]
+
+The runtime only ever runs the Lamport ring, as the paper's LVRM does.
+The other two are benchmark-only ablations: ``bench/`` measures their
+per-hop cost next to Lamport's through this factory.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from repro.ipc.fastforward import FastForwardRing, ff_bytes_needed
 from repro.ipc.mcring import McRingBuffer, mc_bytes_needed
 from repro.ipc.ring import SpscRing, ring_bytes_needed
 
-__all__ = ["RING_KINDS", "ring_bytes_for", "make_ring", "attach_ring"]
+__all__ = ["RING_KINDS", "ring_bytes_for", "make_ring"]
 
 RING_KINDS = ("lamport", "fastforward", "mcring")
 
@@ -43,9 +47,3 @@ def make_ring(kind: str, buffer, capacity: int, slot_size: int):
     """Create (and initialize) a ring of the given kind over ``buffer``."""
     cls, _size_fn = _entry(kind)
     return cls(buffer, capacity, slot_size, create=True)
-
-
-def attach_ring(kind: str, buffer):
-    """Attach to an existing ring of the given kind."""
-    cls, _size_fn = _entry(kind)
-    return cls.attach(buffer)

@@ -1,18 +1,16 @@
-"""Wait strategies and adaptive batch sizing for the data plane.
+"""The idle-wait policy and adaptive batch sizing for the data plane.
 
-The runtime's poll loops (monitor drain, worker burst) previously
-hard-coded a fixed sleep and a fixed burst size.  Both are now policy
-objects:
+The runtime's poll loops (monitor drain, worker burst) share two small
+policy objects:
 
-* :class:`WaitPolicy` — what to do when a ring is empty.  ``spin``
-  burns the core for minimum latency, ``yield`` naps in
-  ``time.sleep(0)``, and ``sleep`` escalates from such naps to short
-  then progressively longer sleeps, trading wakeup latency for idle
-  CPU.  ``time.sleep(0)`` is a zero-length *timed* sleep, not a
-  ``sched_yield``: it measured 55–75 µs per call on a 2-vCPU Linux
-  guest under Python 3.11, where ``os.sched_yield()`` took ~0.5 µs.
-  Every actual sleep is counted so the ``wait_sleeps_total`` metric can
-  expose how often a loop left the fast path.
+* :class:`WaitPolicy` — what to do when a ring is empty.  It escalates
+  from ``time.sleep(0)`` naps to short then progressively longer
+  sleeps, trading wakeup latency for idle CPU.  ``time.sleep(0)`` is a
+  zero-length *timed* sleep, not a ``sched_yield``: it measured
+  55–75 µs per call on a 2-vCPU Linux guest under Python 3.11, where
+  ``os.sched_yield()`` took ~0.5 µs.  Every actual sleep is counted so
+  the ``wait_sleeps_total`` metric can expose how often a loop left the
+  fast path.
 
 * :class:`AimdBatcher` — additive-increase / multiplicative-decrease
   burst sizing between ``lo`` and ``hi`` (default 8..256).  A full
@@ -33,32 +31,24 @@ import time
 
 from repro.errors import ConfigError
 
-__all__ = ["WaitPolicy", "AimdBatcher", "WAIT_STRATEGIES"]
-
-#: Valid ``wait_strategy`` values, in rough latency order.
-WAIT_STRATEGIES = ("spin", "yield", "sleep")
+__all__ = ["WaitPolicy", "AimdBatcher"]
 
 
 class WaitPolicy:
     """Idle-wait behaviour for an empty-ring poll loop.
 
     Call :meth:`idle` each time a poll finds nothing, and :meth:`reset`
-    as soon as work arrives.  ``sleep`` mode escalates: the first
-    ``spin_rounds`` idles are ``time.sleep(0)`` naps (see the module
-    docstring: not yields), then sleeps grow from ``min_sleep``
-    by 2x per idle round up to ``max_sleep``.
+    as soon as work arrives.  The first ``spin_rounds`` idles are
+    ``time.sleep(0)`` naps (see the module docstring: not yields), then
+    sleeps grow from ``min_sleep`` by 2x per idle round up to
+    ``max_sleep``.
     """
 
-    __slots__ = ("strategy", "spin_rounds", "min_sleep", "max_sleep",
+    __slots__ = ("spin_rounds", "min_sleep", "max_sleep",
                  "_idle_rounds", "sleeps")
 
-    def __init__(self, strategy: str = "sleep", *, spin_rounds: int = 64,
+    def __init__(self, *, spin_rounds: int = 64,
                  min_sleep: float = 20e-6, max_sleep: float = 200e-6):
-        if strategy not in WAIT_STRATEGIES:
-            raise ConfigError(
-                f"wait strategy must be one of {WAIT_STRATEGIES}, "
-                f"got {strategy!r}")
-        self.strategy = strategy
         self.spin_rounds = spin_rounds
         self.min_sleep = min_sleep
         self.max_sleep = max_sleep
@@ -71,12 +61,7 @@ class WaitPolicy:
         self._idle_rounds = 0
 
     def idle(self) -> None:
-        """One empty poll: spin, yield, or sleep per the strategy."""
-        if self.strategy == "spin":
-            return
-        if self.strategy == "yield":
-            time.sleep(0)
-            return
+        """One empty poll: nap, or sleep once the naps are used up."""
         rounds = self._idle_rounds
         self._idle_rounds = rounds + 1
         if rounds < self.spin_rounds:

@@ -17,6 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.estimation import ServiceRateEstimator
 from repro.ipc.messages import ControlEvent, KIND_SERVICE_RATE, decode_event, encode_event
+from repro.ipc.ring import SpscRing
 from repro.ipc.shm import SharedSegment
 
 __all__ = ["VriSideApi"]
@@ -33,19 +34,14 @@ class VriSideApi:
                  ctrl_in_name: str, ctrl_out_name: str,
                  report_service_rate: bool = False,
                  report_every: int = 256,
-                 ring_impl: str = "lamport",
                  arena_name: Optional[str] = None,
                  arena_reclaim: int = 0):
-        from repro.ipc.factory import attach_ring
-
         self.vri_id = vri_id
         self._segments = [SharedSegment.attach(n) for n in
                           (data_in_name, data_out_name,
                            ctrl_in_name, ctrl_out_name)]
-        self.data_in = attach_ring(ring_impl, self._segments[0].buf)
-        self.data_out = attach_ring(ring_impl, self._segments[1].buf)
-        self.ctrl_in = attach_ring(ring_impl, self._segments[2].buf)
-        self.ctrl_out = attach_ring(ring_impl, self._segments[3].buf)
+        self.data_in, self.data_out, self.ctrl_in, self.ctrl_out = (
+            SpscRing.attach(segment.buf) for segment in self._segments)
         #: Zero-copy mode: the data rings carry 24-byte descriptors into
         #: this shared frame arena instead of the frames themselves.
         self.arena = None
@@ -87,11 +83,6 @@ class VriSideApi:
         ok = self.data_out.try_push(_OUT_HEADER.pack(out_iface) + bytes(frame))
         if ok:
             self.frames_out += 1
-            # Batched rings (MCRingBuffer) need an explicit publish so
-            # LVRM sees the record promptly.
-            flush = getattr(self.data_out, "flush", None)
-            if flush is not None:
-                flush()
         return ok
 
     # -- batched variants ---------------------------------------------------
@@ -132,9 +123,7 @@ class VriSideApi:
 
     def release_input(self) -> None:
         """Release ring slots borrowed by :meth:`from_lvrm_many_into`."""
-        release = getattr(self.data_in, "release_popped", None)
-        if release is not None:
-            release()
+        self.data_in.release_popped()
 
     # -- descriptor (arena) variants ----------------------------------------
     def from_lvrm_descs(self, max_frames: int = 64,
@@ -175,9 +164,6 @@ class VriSideApi:
         pushed = self.data_out.try_push_desc_many(descs)
         if pushed:
             self.frames_out += pushed
-            flush = getattr(self.data_out, "flush", None)
-            if flush is not None:
-                flush()
         return pushed
 
     def from_lvrm_desc_block(self, max_frames: int = 64):
@@ -208,9 +194,6 @@ class VriSideApi:
         pushed = self.data_out.try_push_desc_block(block)
         if pushed:
             self.frames_out += pushed
-            flush = getattr(self.data_out, "flush", None)
-            if flush is not None:
-                flush()
         return pushed
 
     def free_frame(self, offset: int) -> None:
@@ -232,9 +215,6 @@ class VriSideApi:
         pushed = self.data_out.try_push_many(records)
         if pushed:
             self.frames_out += pushed
-            flush = getattr(self.data_out, "flush", None)
-            if flush is not None:
-                flush()
         return pushed
 
     @staticmethod
@@ -255,9 +235,6 @@ class VriSideApi:
         pushed = self.data_out.try_push_many(records)
         if pushed:
             self.frames_out += pushed
-            flush = getattr(self.data_out, "flush", None)
-            if flush is not None:
-                flush()
         return pushed
 
     @staticmethod
@@ -277,12 +254,7 @@ class VriSideApi:
             # wrap for the same reason.
             self._ctrl_seq = (self._ctrl_seq % 0xFFFF) + 1
             event = replace(event, seq=self._ctrl_seq)
-        ok = self.ctrl_out.try_push(encode_event(event))
-        if ok:
-            flush = getattr(self.ctrl_out, "flush", None)
-            if flush is not None:
-                flush()
-        return ok
+        return self.ctrl_out.try_push(encode_event(event))
 
     def _report_rate(self) -> None:
         rate = self._estimator.rate()

@@ -26,13 +26,12 @@ from repro.kernels import resolve_kernel_kind
 from repro.ipc.arena import FrameArena, arena_bytes_needed
 
 from repro.ipc.desc import DESC_SLOT
-from repro.ipc.factory import RING_KINDS, make_ring, ring_bytes_for
 from repro.ipc.messages import (ControlEvent, KIND_HEARTBEAT,
                                 KIND_SERVICE_RATE, KIND_STATS, KIND_STOP,
                                 StatsAssembler, decode_event, encode_event)
-from repro.ipc.ring import SpscRing
+from repro.ipc.ring import SpscRing, ring_bytes_needed
 from repro.ipc.shm import SharedSegment
-from repro.ipc.wait import WAIT_STRATEGIES, AimdBatcher, WaitPolicy
+from repro.ipc.wait import AimdBatcher, WaitPolicy
 from repro.obs.admin import AdminServer, AdminState
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Gauge, default_registry
@@ -85,19 +84,20 @@ class RuntimeLvrm(DispatchPipeline):
     workers, their rings and the control plane.
     """
 
+    #: Every worker ring is Lamport's SPSC ring (:class:`SpscRing`), the
+    #: paper's one IPC queue; ``/topology`` reports it.
+    ring_impl = "lamport"
+
     def __init__(self, n_vris: int = 1, ring_capacity: int = 1024,
                  map_lines: Tuple[str, ...] = DEFAULT_MAP_LINES,
                  cores: Optional[List[int]] = None,
                  balancer: str = "rr",
                  worker_lifetime: float = 60.0,
-                 ring_impl: str = "lamport",
                  report_service_rate: bool = False,
                  heartbeat_interval: float = 0.0,
                  stats_interval: float = 0.0,
                  span_sample_every: int = 0,
                  data_plane: str = "copy",
-                 wait_strategy: str = "sleep",
-                 arena_chunks_per_class: Optional[int] = None,
                  kernel: Optional[str] = None,
                  kernel_rewrite: bool = False,
                  overload_policy: str = "none",
@@ -106,9 +106,6 @@ class RuntimeLvrm(DispatchPipeline):
             raise RuntimeBackendError("need at least one VRI")
         if balancer not in ("rr", "jsq"):
             raise RuntimeBackendError(f"unknown runtime balancer {balancer!r}")
-        if ring_impl not in RING_KINDS:
-            raise RuntimeBackendError(
-                f"unknown ring implementation {ring_impl!r}")
         if heartbeat_interval < 0:
             raise RuntimeBackendError("heartbeat_interval cannot be negative")
         if stats_interval < 0:
@@ -118,16 +115,11 @@ class RuntimeLvrm(DispatchPipeline):
         if data_plane not in ("copy", "arena"):
             raise RuntimeBackendError(
                 f"data_plane must be 'copy' or 'arena', got {data_plane!r}")
-        if wait_strategy not in WAIT_STRATEGIES:
-            raise RuntimeBackendError(
-                f"wait_strategy must be one of {WAIT_STRATEGIES}, "
-                f"got {wait_strategy!r}")
         try:
             kernel = resolve_kernel_kind(kernel)
         except KernelError as exc:
             raise RuntimeBackendError(str(exc)) from exc
         self.balancer = balancer
-        self.ring_impl = ring_impl
         #: Which burst kernel the workers run (``scalar``/``numpy``/
         #: ``cffi``); resolved here so forked children inherit one
         #: compiled ringops library instead of racing to build it.
@@ -144,7 +136,6 @@ class RuntimeLvrm(DispatchPipeline):
         #: ``copy`` stages frames through ring slots (legacy); ``arena``
         #: carries 24-byte descriptors into the shared frame arena.
         self.data_plane = data_plane
-        self.wait_strategy = wait_strategy
         self.report_service_rate = report_service_rate
         #: Workers send a KIND_HEARTBEAT control event this often
         #: (0 = disabled); :meth:`pump_control` absorbs them into each
@@ -247,8 +238,7 @@ class RuntimeLvrm(DispatchPipeline):
         if data_plane == "arena":
             # Worst case every data slot of every worker holds a live
             # frame of one size class, plus bursts in flight.
-            cpc = (arena_chunks_per_class if arena_chunks_per_class
-                   else 2 * ring_capacity * n_vris + 512)
+            cpc = 2 * ring_capacity * n_vris + 512
             self._arena_n_reclaim = n_vris + 9
             self._arena_segment = SharedSegment.create(arena_bytes_needed(
                 chunks_per_class=cpc, n_reclaim=self._arena_n_reclaim))
@@ -288,7 +278,7 @@ class RuntimeLvrm(DispatchPipeline):
         #: rings keep amortizing instead of capping at 256.
         self._drain_batcher = AimdBatcher(
             hi=max(256, min(1024, ring_capacity // 8)))
-        self._wait = WaitPolicy(wait_strategy)
+        self._wait = WaitPolicy()
         self._wait_sleeps_seen = 0
         # fork avoids re-importing __main__ (which breaks REPL/stdin use)
         # and is safe here: the parent holds no threads or locks the
@@ -320,10 +310,10 @@ class RuntimeLvrm(DispatchPipeline):
             raise
 
     # -- lifecycle ------------------------------------------------------------------
-    def _make_ring(self, capacity: int, slot: int):
-        segment = SharedSegment.create(
-            ring_bytes_for(self.ring_impl, capacity, slot))
-        return segment, make_ring(self.ring_impl, segment.buf, capacity, slot)
+    @staticmethod
+    def _make_ring(capacity: int, slot: int):
+        segment = SharedSegment.create(ring_bytes_needed(capacity, slot))
+        return segment, SpscRing(segment.buf, capacity, slot, create=True)
 
     def _spawn(self, vri_id: int, core_id: Optional[int]) -> RuntimeVriHandle:
         segs, rings = [], []
@@ -341,13 +331,11 @@ class RuntimeLvrm(DispatchPipeline):
                 data_in=segs[0].name, data_out=segs[1].name,
                 ctrl_in=segs[2].name, ctrl_out=segs[3].name,
                 map_lines=self.map_lines, max_lifetime=self.worker_lifetime,
-                ring_impl=self.ring_impl,
                 report_service_rate=self.report_service_rate,
                 heartbeat_interval=self.heartbeat_interval,
                 stats_interval=self.stats_interval,
                 arena=(self._arena_segment.name if arena_mode else None),
                 arena_reclaim=(vri_id if arena_mode else 0),
-                wait_strategy=self.wait_strategy,
                 kernel=self.kernel,
                 kernel_rewrite=self.kernel_rewrite,
                 probe_frames=bool(self.spans.sample_every))
@@ -446,12 +434,9 @@ class RuntimeLvrm(DispatchPipeline):
         retiring worker's data rings, so failovers do not bleed arena
         capacity.
 
-        ``data_out`` is always drainable (this side is its consumer).
-        ``data_in``'s consumer cursor lives in the dead worker for the
-        flag/batched ring kinds, so only the Lamport ring — whose
-        indices are fully shared — can be drained from here; for the
-        others the stranded input chunks are leaked until teardown
-        (bounded by ring capacity per failover).
+        ``data_out`` is drainable because this side is its consumer;
+        ``data_in`` is too, because both Lamport indices live in shared
+        memory, so the dead worker's consumer cursor is readable here.
         """
         free = self._arena_prod.free_local
         freed = 0
@@ -459,10 +444,9 @@ class RuntimeLvrm(DispatchPipeline):
             for desc in vri.data_out.try_pop_desc_many():
                 free(desc[0])
                 freed += 1
-            if self.ring_impl == "lamport":
-                for desc in vri.data_in.try_pop_desc_many():
-                    free(desc[0])
-                    freed += 1
+            for desc in vri.data_in.try_pop_desc_many():
+                free(desc[0])
+                freed += 1
         except ArenaError:
             # A torn descriptor (worker died mid-publish on a non-atomic
             # path) must not take the monitor down with it.
@@ -514,7 +498,6 @@ class RuntimeLvrm(DispatchPipeline):
         for vri in self.vris:
             vri.ctrl_in.try_push(encode_event(
                 ControlEvent(KIND_STOP, 0, vri.vri_id)))
-            self._flush(vri.ctrl_in)
         deadline = time.monotonic() + timeout
         for vri in self.vris:
             vri.process.join(max(0.0, deadline - time.monotonic()))
@@ -644,7 +627,6 @@ class RuntimeLvrm(DispatchPipeline):
                 dst = by_id.get(event.dst_vri)
                 if dst is not None:
                     dst.ctrl_in.try_push(record)
-                    self._flush(dst.ctrl_in)
                 absorbed.append(event)
         return absorbed
 
@@ -658,13 +640,11 @@ class RuntimeLvrm(DispatchPipeline):
                     self._ctrl_send_seq[event.dst_vri] = seq
                     event = dataclasses.replace(event, seq=seq)
                 ok = vri.ctrl_in.try_push(encode_event(event))
-                if ok:
-                    self._flush(vri.ctrl_in)
-                    if _TRACE.enabled:
-                        _TRACE.instant("ctrl.send", ts=time.monotonic(),
-                                       cat="replay", track="lvrm",
-                                       kind=event.kind, src=event.src_vri,
-                                       dst=event.dst_vri, seq=event.seq)
+                if ok and _TRACE.enabled:
+                    _TRACE.instant("ctrl.send", ts=time.monotonic(),
+                                   cat="replay", track="lvrm",
+                                   kind=event.kind, src=event.src_vri,
+                                   dst=event.dst_vri, seq=event.seq)
                 return ok
         raise RuntimeBackendError(f"no such VRI: {event.dst_vri}")
 

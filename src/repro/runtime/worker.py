@@ -62,8 +62,6 @@ class WorkerArgs:
     #: Stop after this many seconds even without a STOP event (a safety
     #: net so an orphaned worker cannot outlive a crashed test runner).
     max_lifetime: float = 60.0
-    #: Which lock-free queue implementation the rings use.
-    ring_impl: str = "lamport"
     #: Measure and report the service rate upstream (thesis §3.6, the
     #: input to dynamic thresholds).
     report_service_rate: bool = False
@@ -87,9 +85,6 @@ class WorkerArgs:
     #: Index of this worker's SPSC reclaim ring in the arena (its
     #: private channel for handing dropped frames' chunks back).
     arena_reclaim: int = 0
-    #: Idle-wait behaviour when the incoming ring is empty: ``spin`` |
-    #: ``yield`` | ``sleep`` (:class:`repro.ipc.wait.WaitPolicy`).
-    wait_strategy: str = "sleep"
     #: Which burst kernel routes the data bursts: ``scalar`` | ``numpy``
     #: | ``cffi`` (:mod:`repro.kernels`; ``cffi`` auto-degrades to numpy
     #: without a compiler).
@@ -128,8 +123,7 @@ def vri_worker_main(args: WorkerArgs) -> None:
     """
     recorder = FlightRecorder(128)
     recorder.note("worker.start", ts=time.monotonic(), vri=args.vri_id,
-                  core=args.core_id, pid=os.getpid(),
-                  ring_impl=args.ring_impl)
+                  core=args.core_id, pid=os.getpid())
     _pin(args.core_id)
     routes, _arp = parse_map_lines(args.map_lines)
     # The burst hot path lives behind the swappable kernel interface;
@@ -140,7 +134,6 @@ def vri_worker_main(args: WorkerArgs) -> None:
                   kind=kernel.describe())
     api = VriSideApi(args.vri_id, args.data_in, args.data_out,
                      args.ctrl_in, args.ctrl_out,
-                     ring_impl=args.ring_impl,
                      report_service_rate=args.report_service_rate,
                      report_every=64,
                      arena_name=args.arena,
@@ -185,13 +178,13 @@ def vri_worker_main(args: WorkerArgs) -> None:
         "ring_batch_size", "records moved per ring transaction",
         buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
         vri=vri_label, side="worker")
-    policy = WaitPolicy(args.wait_strategy)
+    policy = WaitPolicy()
     sleeps_seen = 0
     lpm_hits_seen = lpm_misses_seen = 0
     # Burst ceiling scales with ring depth (256 at the default 1024):
     # deeper rings exist to amortize hand-offs further, so the batcher
     # must be allowed to follow them up.
-    ring_cap = getattr(api.data_in, "capacity", 0)
+    ring_cap = api.data_in.capacity
     batcher = AimdBatcher(_BURST_LO,
                           max(_BURST_HI, min(1024, ring_cap // 8)))
     stats_gen = 0

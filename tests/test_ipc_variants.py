@@ -1,5 +1,7 @@
 """Tests for the alternative lock-free queue implementations
-(FastForward [17] and MCRingBuffer [24]) and the ring factory."""
+(FastForward [17] and MCRingBuffer [24]) and the ring factory.  The
+runtime runs only the Lamport ring; these two are benchmark-only
+ablations, so they are exercised here and in ``bench/``."""
 
 import multiprocessing as mp
 import time
@@ -11,20 +13,17 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, QueueEmptyError, QueueFullError
 from repro.ipc import (FastForwardRing, McRingBuffer, RING_KINDS,
-                       SharedSegment, attach_ring, make_ring,
-                       ring_bytes_for)
+                       SharedSegment, SpscRing, make_ring, ring_bytes_for)
 from repro.ipc.fastforward import ff_bytes_needed
 from repro.ipc.mcring import mc_bytes_needed
+
+RING_CLASSES = {"lamport": SpscRing, "fastforward": FastForwardRing,
+                "mcring": McRingBuffer}
 
 
 def _make(kind, capacity=8, slot=64, **kw):
     buf = bytearray(ring_bytes_for(kind, capacity, slot))
-    if kind == "lamport":
-        from repro.ipc.ring import SpscRing
-        return SpscRing(buf, capacity, slot), buf
-    if kind == "fastforward":
-        return FastForwardRing(buf, capacity, slot), buf
-    return McRingBuffer(buf, capacity, slot, **kw), buf
+    return RING_CLASSES[kind](buf, capacity, slot, **kw), buf
 
 
 # -- shared semantics across all kinds --------------------------------------------
@@ -66,7 +65,7 @@ def test_attach_round_trip(kind):
     ring.push(b"hello")
     if hasattr(ring, "flush"):
         ring.flush()
-    attached = attach_ring(kind, buf)
+    attached = RING_CLASSES[kind].attach(buf)
     # FastForward consumers start at slot 0, which is where we pushed.
     assert attached.pop() == b"hello"
 
@@ -194,23 +193,3 @@ def test_mc_batch_validation():
     with pytest.raises(ConfigError):
         McRingBuffer(buf, 8, 64, batch=16)
 
-
-# -- runtime integration --------------------------------------------------------------------
-
-@pytest.mark.parametrize("ring_impl", ["fastforward", "mcring"])
-@pytest.mark.timeout(60)
-def test_runtime_works_on_alternative_rings(ring_impl):
-    from repro.net.addresses import ip_to_int
-    from repro.net.packet import build_udp_frame
-    from repro.runtime import RuntimeLvrm
-
-    frame = build_udp_frame(0x02, 0x03, ip_to_int("10.1.1.2"),
-                            ip_to_int("10.2.1.2"), 1, 2, b"alt-ring")
-    with RuntimeLvrm(n_vris=1, ring_impl=ring_impl,
-                     worker_lifetime=40.0) as lvrm:
-        for _ in range(30):
-            while not lvrm.dispatch(frame):
-                time.sleep(1e-4)
-        out = lvrm.drain_until(30, timeout=20.0)
-    assert len(out) == 30
-    assert all(f == frame for _v, _i, f in out)

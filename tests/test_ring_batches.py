@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.errors import ConfigError
-from repro.ipc import RING_KINDS, attach_ring, make_ring, ring_bytes_for
+from repro.ipc import RING_KINDS, make_ring, ring_bytes_for
 
 CAPACITY = 16
 SLOT = 64
@@ -103,7 +103,7 @@ def test_batched_and_scalar_interoperate_across_attach(kind):
     """A scalar consumer attached to the same buffer sees batched pushes."""
     buf = bytearray(ring_bytes_for(kind, CAPACITY, SLOT))
     producer = make_ring(kind, buf, CAPACITY, SLOT)
-    consumer = attach_ring(kind, buf)
+    consumer = type(producer).attach(buf)
     records = [_record(i) for i in range(6)]
     assert producer.try_push_many(records) == 6
     _flush(producer)
@@ -183,7 +183,7 @@ def test_consumer_side_hwm_counts_backlog(kind):
     (pops sample occupancy *before* releasing the slot)."""
     buf = bytearray(ring_bytes_for(kind, CAPACITY, SLOT))
     producer = make_ring(kind, buf, CAPACITY, SLOT)
-    consumer = attach_ring(kind, buf)
+    consumer = type(producer).attach(buf)
     for i in range(12):
         assert producer.try_push(_record(i))
     _flush(producer)

@@ -1,6 +1,7 @@
 """Runtime backend: worker health, respawn, and service-rate reporting."""
 
 import os
+import signal
 import time
 
 import pytest
@@ -106,6 +107,47 @@ def test_stop_leaves_no_shm_segments_arena_plane():
     after = _shm_entries()
     if after is not None:
         assert after - before == set()
+
+
+def _wait_stopped(pid: int, timeout: float = 10.0) -> None:
+    """Block until ``pid`` is in the stopped state (SIGSTOP delivered)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+        if state in ("T", "t"):
+            return
+        assert time.monotonic() < deadline, f"pid {pid} never stopped"
+        time.sleep(1e-3)
+
+
+@pytest.mark.timeout(90)
+def test_remove_worker_reclaims_stranded_arena_chunks():
+    """A failed-over worker's stranded descriptors give their arena
+    chunks back: N echoed frames wait in ``data_out``, M dispatched after
+    a SIGSTOP wait in ``data_in``; ``remove_worker`` frees all N + M and
+    the arena's in-use bytes return to their pre-dispatch value."""
+    n_echoed, n_queued = 24, 24
+    frame = _frame()
+    with RuntimeLvrm(n_vris=1, worker_lifetime=60.0,
+                     data_plane="arena") as lvrm:
+        vri = lvrm.vris[0]
+        idle = lvrm.arena.inuse_bytes()
+        for _ in range(n_echoed):
+            assert lvrm.dispatch(frame)
+        deadline = time.monotonic() + 20.0
+        while len(vri.data_out) < n_echoed:
+            assert time.monotonic() < deadline, "worker never echoed"
+            time.sleep(1e-3)
+        os.kill(vri.process.pid, signal.SIGSTOP)
+        _wait_stopped(vri.process.pid)
+        for _ in range(n_queued):
+            assert lvrm.dispatch(frame)
+        assert len(vri.data_in) == n_queued
+        assert lvrm.arena.inuse_bytes() > idle
+        lvrm.remove_worker(vri)
+        assert lvrm.stranded_reclaimed == n_echoed + n_queued
+        assert lvrm.arena.inuse_bytes() == idle
 
 
 class _FailingCtx:
