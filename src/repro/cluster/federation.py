@@ -51,7 +51,8 @@ class VipCapture(CaptureBackend):
 
     The federation dispatcher :meth:`push`\\ es frames in; the owning
     LVRM's main loop is woken through the same notify contract NIC
-    queues use (``set_notify``/``backlog``, armed by ``_arm_wakes``).
+    queues use (``set_notify``/``backlog``, armed by the idle park in
+    ``Lvrm._run``).
     Costs mirror :class:`~repro.net.capture.MemoryCapture`, scaled by
     ``rx_scale`` — scaling scenarios raise it to model a monitor that
     is itself the bottleneck (the paper's single-process ceiling).
@@ -84,7 +85,7 @@ class VipCapture(CaptureBackend):
         if self._notify is not None:
             self._notify()
 
-    # -- the notify contract (duck-typed by Lvrm._arm_wakes) -----------------
+    # -- the notify contract (duck-typed by Lvrm._run's idle park) ----------
     def set_notify(self, callback: Optional[Callable[[], None]]) -> None:
         self._notify = callback
 

@@ -29,7 +29,7 @@ from repro.core.allocation import CoreAllocator, DynamicFixedThresholds
 from repro.core.balancing import make_balancer
 from repro.core.vr import VrSpec
 from repro.core.vr_monitor import VrMonitor
-from repro.core.vri import VriRuntime
+from repro.core.vri import OutputTally, VriRuntime
 from repro.core.vri_monitor import VriMonitor
 from repro.errors import AllocationError, ConfigError
 from repro.hardware.affinity import AffinityMode, AffinityPolicy
@@ -43,7 +43,7 @@ from repro.obs.registry import default_registry
 from repro.obs.slo import SloWatchdog, parse_rules
 from repro.obs.spans import SpanRecorder
 from repro.obs.trace import TRACER as _TRACE
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.timeline import Timeline
 
@@ -280,8 +280,8 @@ class Lvrm:
         #: VRI pop/push, drain) moves a 24-byte descriptor instead of
         #: the payload: swap the cost model *before* any VriMonitor is
         #: built so the whole pipeline charges descriptor costs.  The
-        #: payload's one staging copy is charged at dispatch
-        #: (``_capture_one``) using the original per-byte cost.
+        #: payload's one staging copy is charged at dispatch (in
+        #: :meth:`_run`) using the original per-byte cost.
         self._arena_plane = config.data_plane == "arena"
         self._staging_per_byte = costs.ipc_per_byte
         #: The burst kernel reprices VR service (parse+LPM batched away)
@@ -328,8 +328,11 @@ class Lvrm:
         self._vri_monitors: List[VriMonitor] = []
         #: :meth:`all_vris` result, rebuilt after any VRI list changes
         #: (each VriMonitor reports its creates and removals).
-        self._vris: Optional[Tuple[VriRuntime, ...]] = None
-        #: What an idle park arms (see :meth:`_arm_wakes`): the NICs of a
+        self._vris: Tuple[VriRuntime, ...] = ()
+        #: Which VRIs hold output, kept by the VRIs and the main loop
+        #: (see :class:`~repro.core.vri.OutputTally`).
+        self._tally = OutputTally()
+        #: What an idle park arms (see :meth:`_run`): the NICs of a
         #: NIC-fronting capture, else a push-based capture's
         #: ``set_notify`` hook (repro.cluster's VIP capture), else nothing.
         self._nics = capture.nics if isinstance(capture, _NicBackend) \
@@ -340,7 +343,10 @@ class Lvrm:
         self.done = sim.event()
         #: Experiment hooks called as ``fn(frame, now)`` on each transmit.
         self.on_forward: List[Callable[[Frame, float], None]] = []
-        self._wake: Optional[Callable[[], None]] = None
+        #: The main loop's pending idle-park event, or None while it
+        #: runs.  :meth:`_notify` ends the park (at most once).
+        self._park = None
+        self._notify_cb = self._notify
         self._out_rr = 0
         self._process = None
         self._supervisor = None
@@ -381,9 +387,9 @@ class Lvrm:
             self.sim, spec, self.machine, self.costs, balancer,
             lvrm_core_id=self.config.lvrm_core,
             queue_capacity=self.config.queue_capacity,
-            rng_registry=self.rng, on_output=self._notify,
+            rng_registry=self.rng, on_output=self._notify_cb,
             memory_budget=memory_budget, obs_labels=self.obs_labels,
-            on_vris_changed=self._vris_changed)
+            on_vris_changed=self._vris_changed, tally=self._tally)
         self._vri_monitors.append(monitor)
         self._vris_changed()
         self.vr_monitor.add_vr(monitor, allocator)
@@ -402,16 +408,12 @@ class Lvrm:
     # -- introspection ----------------------------------------------------------------
     def all_vris(self) -> Tuple[VriRuntime, ...]:
         """Every live VRI, VR by VR in hosting order, each VR's in
-        creation order.  Cached between VRI list changes; the main loop
-        reads it several times per iteration."""
-        vris = self._vris
-        if vris is None:
-            vris = self._vris = tuple(
-                v for m in self._vri_monitors for v in m.vris)
-        return vris
+        creation order.  Rebuilt on every VRI list change, so the main
+        loop reads it for free."""
+        return self._vris
 
     def _vris_changed(self) -> None:
-        self._vris = None
+        self._vris = tuple(v for m in self._vri_monitors for v in m.vris)
 
     def find_vri(self, vri_id: int) -> Optional[VriRuntime]:
         for vri in self.all_vris():
@@ -532,49 +534,22 @@ class Lvrm:
 
     # -- wake plumbing -----------------------------------------------------------------
     def _notify(self) -> None:
-        if self._wake is not None:
-            wake, self._wake = self._wake, None
-            wake()
+        """End the main loop's idle park, if it is parked (once)."""
+        park = self._park
+        if park is not None:
+            self._park = None
+            park.succeed()
 
-    def _arm_wakes(self, wake_cb: Callable[[], None]) -> None:
-        # VRI output needs no arming of its own: a VRI calls
-        # ``on_output`` (= :meth:`_notify`) right after every push to
-        # its outgoing data or control queue, and nothing else pushes
-        # there.  The queues are empty whenever the loop parks (it
-        # scanned them with no yield since), so only the capture side
-        # can already hold work.
-        self._wake = wake_cb
-        nics = self._nics
-        if nics is not None:
-            backlog = False
-            for nic in nics:
-                nic.notify = wake_cb
-                if nic.rx_ring.items:
-                    backlog = True
-            if backlog:
-                # A frame slipped in before arming: don't sleep on it.
-                wake_cb()
-        elif self._set_notify is not None:
-            # Push-based backends (repro.cluster's VIP capture) expose
-            # the same notify contract as a NIC queue, duck-typed so the
-            # capture layer needn't know about this loop.
-            self._set_notify(wake_cb)
-            if self.capture.backlog() > 0:
-                wake_cb()
-
-    def _disarm_wakes(self) -> None:
-        self._wake = None
-        nics = self._nics
-        if nics is not None:
-            for nic in nics:
-                nic.notify = None
-        elif self._set_notify is not None:
-            self._set_notify(None)
+    def _wake_park(self, park) -> None:
+        """Timer form of :meth:`_notify`: ends ``park`` only if it is
+        still the pending one (a timer may outlive its park)."""
+        if park is self._park:
+            self._park = None
+            park.succeed()
 
     # -- drain detection (memory-trace runs) ----------------------------------------------
     def _fully_drained(self) -> bool:
-        if not self.capture.exhausted:
-            return False
+        """Whether an exhausted capture's every frame has left."""
         for vri in self.all_vris():
             if vri.channels.pending_input() or not vri.channels.data_out.is_empty \
                     or not vri.channels.ctrl_out.is_empty:
@@ -605,10 +580,9 @@ class Lvrm:
         self._ctrl_delay = delay
         self._ctrl_delay_count = count
 
-    # -- loop steps ----------------------------------------------------------------------
-    # The main loop finds the work (a control event, a captured frame, an
-    # outgoing frame) and enters one of these generators only when there
-    # is some: an empty poll costs no generator.
+    # -- rare loop steps ---------------------------------------------------------------
+    # The main loop runs capture, dispatch and transmit inline; a control
+    # relay is rare enough to keep its own generator.
     def _relay_control(self, vri: VriRuntime, event: ControlEvent):
         """Relay one control event popped from ``vri`` (priority path)."""
         pop_cost = self.costs.ipc_ctrl_cost(event.size, vri.cross_socket)
@@ -630,111 +604,6 @@ class Lvrm:
                 _TRACE.instant("ctrl.relay", ts=self.sim.now, cat="ctrl",
                                track="lvrm", src=event.src_vri,
                                dst=event.dst_vri, kind=event.kind)
-
-    def _transmit_one(self, vri: VriRuntime, frame: Frame):
-        """Transmit one frame popped from ``vri``'s outgoing data queue."""
-        # One execute per frame: the queue pop is charged together
-        # with the transmit under the tx CPU class (the pop is tiny;
-        # keeping event count low matters for multi-million-frame
-        # runs — see the HPC guide's per-event-overhead advice).
-        pop_cost = self.costs.ipc_data_cost(frame.size, vri.cross_socket)
-        tx_cost = self.capture.tx_cost(frame)
-        yield from self.core.execute(pop_cost + tx_cost, owner=self,
-                                     time_class=self.capture.tx_time_class)
-        now = self.sim.now
-        if self.capture.transmit(frame):
-            self.stats.forwarded += 1
-            self.stats.forwarded_by_vr[vri.vr_name] = \
-                self.stats.forwarded_by_vr.get(vri.vr_name, 0) + 1
-            if self.config.record_latency:
-                self.stats.latency.record(now, now - frame.t_created)
-            if frame.span is not None and len(frame.span) == 4:
-                # All four stamps present: close the latency span
-                # (partial stamps mean the frame was dropped along
-                # the way and attribution would be meaningless).
-                self.spans.record_stamps(*frame.span, now,
-                                         vri_id=vri.vri_id, vr=vri.vr_name)
-            if _TRACE.enabled:
-                _TRACE.instant("frame.tx", ts=now, cat="frame",
-                               track="lvrm", vr=vri.vr_name,
-                               vri=vri.vri_id)
-            for hook in self.on_forward:
-                hook(frame, now)
-        else:
-            self.stats.dropped_tx += 1
-            if _TRACE.enabled:
-                _TRACE.instant("frame.drop", ts=now,
-                               cat="frame", track="lvrm", reason="tx",
-                               vri=vri.vri_id)
-
-    def _capture_one(self, frame: Frame):
-        """Classify, (maybe) allocate, balance, dispatch one captured
-        frame."""
-        rx_cost = self.capture.rx_cost(frame)
-        yield from self.core.execute(rx_cost, owner=self,
-                                     time_class=self.capture.rx_time_class)
-        self.stats.captured += 1
-
-        # Figure 3.2: allocation is triggered by packet receipt, rate-
-        # limited to one pass per period.
-        if self.vr_monitor.due(self.sim.now):
-            yield from self.vr_monitor.allocate_pass()
-
-        monitor = self.classify(frame.src_ip)
-        if monitor is None or not monitor.vris:
-            yield from self.core.execute(self.costs.classify_cost,
-                                         owner=self, time_class="us")
-            self.stats.drop_no_vr.inc()
-            if _TRACE.enabled:
-                _TRACE.instant("frame.drop", ts=self.sim.now, cat="frame",
-                               track="lvrm", reason="no_vr",
-                               src_ip=frame.src_ip)
-            return
-        if self.overload is not None:
-            # Admission fronts the monitor: a shed frame pays only the
-            # classify cost (the stage reuses the 5-tuple read) and
-            # never reaches record_arrival, so the allocator's arrival
-            # estimate tracks *admitted* load — the load it must serve.
-            self.overload.maybe_update(self.sim.now, self._occupancy)
-            if not self.overload.admit_frame(frame):
-                yield from self.core.execute(self.costs.classify_cost,
-                                             owner=self, time_class="us")
-                if _TRACE.enabled:
-                    _TRACE.instant("frame.shed", ts=self.sim.now,
-                                   cat="frame", track="lvrm",
-                                   src_ip=frame.src_ip)
-                return
-        monitor.record_arrival(self.sim.now)
-        vri = monitor.pick(frame, self.sim.now)
-        # Classify + balance + enqueue charged as one execution (the
-        # decisions are pure reads; merging keeps per-frame event count
-        # low without changing ordering).
-        dispatch_cost = (self.costs.classify_cost + monitor.dispatch_cost()
-                         + self.costs.ipc_data_cost(frame.size,
-                                                    vri.cross_socket)
-                         + vri.producer_penalty)
-        if self._arena_plane:
-            # The zero-copy plane's one payload copy: stage the frame
-            # into its arena chunk (alloc + per-byte write) at dispatch;
-            # every later hop is descriptor-priced via arena_variant().
-            dispatch_cost += (self.costs.arena_alloc_cost
-                              + self._staging_per_byte * frame.size)
-        yield from self.core.execute(dispatch_cost, owner=self,
-                                     time_class="us")
-        if self.spans.sample_every and self.spans.should_sample():
-            # Open a latency span: creation is t_start, the enqueue in
-            # deliver() stamps t_push, the VRI stamps service, transmit
-            # closes it.  A dropped frame leaves a partial stamp that
-            # simply never records.
-            frame.span = (frame.t_created,)
-        # Deliberately no ``vri.alive`` check: the producer pushes into
-        # shared memory and cannot know the consumer died.  Frames sent
-        # to a corpse strand in its ring until the supervisor's failover
-        # drains them as losses (vri_dropped_fault_total).
-        if monitor.deliver(frame, vri, self.sim.now):
-            self.stats.c_dispatched.inc()
-        else:
-            self.stats.drop_queue_full.inc()
 
     def _occupancy(self) -> float:
         """Admission-control load signal: max data-ring fill across the
@@ -940,68 +809,268 @@ class Lvrm:
         for monitor in self._vri_monitors:
             yield from self.vr_monitor.start_vr(monitor.spec.name)
 
-        # The queue scans below test a SimIpcQueue's deque (``_items``)
-        # before popping: they run for every VRI on every iteration,
-        # where a pop call per empty queue is a measurable share of the
-        # whole simulation.
+        # One generator frame per step.  Capture, dispatch and transmit
+        # run inline, each taking the idle core the way Core.execute's
+        # uncontended path takes it (hold it, one pooled sleep, release
+        # it).  A busy core, an allocation pass, a no-VR drop, a shed
+        # and a control relay go through sub-generators.
+        sim = self.sim
+        sleep = sim.sleep
+        costs = self.costs
+        stats = self.stats
         capture = self.capture
+        core = self.core
+        users, waiters, busy = core.users, core.waiters, core.busy
+        vr_monitor = self.vr_monitor
+        spans = self.spans
+        tally = self._tally
+        nics, set_notify = self._nics, self._set_notify
+        notify = self._notify_cb
+        # A backend's CPU-time classes are fixed when it is built.
+        rx_class, tx_class = capture.rx_time_class, capture.tx_time_class
         while True:
             # 1. Relay one control event: priority over data.
-            relayed = False
-            for vri in self.all_vris():
-                ctrl_out = vri.channels.ctrl_out
-                if ctrl_out._items:
-                    yield from self._relay_control(vri, ctrl_out.try_pop())
-                    relayed = True
-                    break
-            if relayed:
+            if tally.ctrl:
+                for vri in self._vris:
+                    ctrl_out = vri.channels.ctrl_out
+                    if ctrl_out._items:
+                        event = ctrl_out.try_pop()
+                        if not ctrl_out._items:
+                            tally.ctrl -= 1
+                        yield from self._relay_control(vri, event)
+                        break
+                else:
+                    raise RuntimeError("output tally out of step: no "
+                                       "control queue holds an event")
                 continue
 
-            # 2. Capture one frame, then (interleaved) transmit one.
+            # 2. Capture one frame: classify, (maybe) allocate, balance,
+            # dispatch.  Then (interleaved) transmit one.
             frame = capture.poll()
             progress = frame is not None
             if progress:
-                yield from self._capture_one(frame)
-            # Re-read: an allocation pass inside the capture may have
-            # created or destroyed VRIs.
-            vris = self.all_vris()
-            n = len(vris)
-            out_rr = self._out_rr
-            for offset in range(n):
-                vri = vris[(out_rr + offset) % n]
-                data_out = vri.channels.data_out
-                if data_out._items:
-                    self._out_rr = (out_rr + offset + 1) % n
-                    yield from self._transmit_one(vri, data_out.try_pop())
-                    progress = True
-                    break
+                cost = capture.rx_cost(frame)
+                if users or waiters:
+                    yield from core.execute(cost, owner=self,
+                                            time_class=rx_class)
+                else:
+                    users.append(core)
+                    if core._last_owner is not self:
+                        cost += core.switch_to(self)
+                    try:
+                        if cost > 0.0:
+                            yield sleep(cost)
+                    finally:
+                        users.clear()
+                        if waiters:
+                            core.grant_waiters()
+                    busy[rx_class] += cost
+                stats.captured += 1
+
+                # Figure 3.2: allocation is triggered by packet receipt,
+                # rate-limited to one pass per period.
+                if vr_monitor.due(sim._now):
+                    yield from vr_monitor.allocate_pass()
+
+                monitor = self.classify(frame.src_ip)
+                admitted = monitor is not None and monitor.vris
+                if not admitted:
+                    yield from core.execute(costs.classify_cost,
+                                            owner=self, time_class="us")
+                    stats.drop_no_vr.inc()
+                    if _TRACE.enabled:
+                        _TRACE.instant("frame.drop", ts=sim._now,
+                                       cat="frame", track="lvrm",
+                                       reason="no_vr", src_ip=frame.src_ip)
+                elif self.overload is not None:
+                    # Admission fronts the monitor: a shed frame pays
+                    # only the classify cost (the stage reuses the
+                    # 5-tuple read) and never reaches the arrival
+                    # estimate, so the allocator tracks *admitted* load —
+                    # the load it must serve.
+                    self.overload.maybe_update(sim._now, self._occupancy)
+                    if not self.overload.admit_frame(frame):
+                        admitted = False
+                        yield from core.execute(costs.classify_cost,
+                                                owner=self, time_class="us")
+                        if _TRACE.enabled:
+                            _TRACE.instant("frame.shed", ts=sim._now,
+                                           cat="frame", track="lvrm",
+                                           src_ip=frame.src_ip)
+                if admitted:
+                    now = sim._now
+                    monitor.record_arrival(now)
+                    vri = monitor.pick(frame, now)
+                    # Classify + balance + enqueue charged as one
+                    # execution (the decisions are pure reads; merging
+                    # keeps per-frame event count low without changing
+                    # ordering).
+                    cost = (costs.classify_cost + monitor.dispatch_cost()
+                            + costs.ipc_data_cost(frame.size,
+                                                  vri.cross_socket)
+                            + vri.producer_penalty)
+                    if self._arena_plane:
+                        # The zero-copy plane's one payload copy: stage
+                        # the frame into its arena chunk (alloc +
+                        # per-byte write) at dispatch; every later hop is
+                        # descriptor-priced via arena_variant().
+                        cost += (costs.arena_alloc_cost
+                                 + self._staging_per_byte * frame.size)
+                    if users or waiters:
+                        yield from core.execute(cost, owner=self,
+                                                time_class="us")
+                    else:
+                        users.append(core)
+                        if core._last_owner is not self:
+                            cost += core.switch_to(self)
+                        try:
+                            if cost > 0.0:
+                                yield sleep(cost)
+                        finally:
+                            users.clear()
+                            if waiters:
+                                core.grant_waiters()
+                        busy["us"] += cost
+                    if spans.sample_every and spans.should_sample():
+                        # Open a latency span: creation is t_start, the
+                        # enqueue in deliver() stamps t_push, the VRI
+                        # stamps service, transmit closes it.  A dropped
+                        # frame leaves a partial stamp that never
+                        # records.
+                        frame.span = (frame.t_created,)
+                    # Deliberately no ``vri.alive`` check: the producer
+                    # pushes into shared memory and cannot know the
+                    # consumer died.  Frames sent to a corpse strand in
+                    # its ring until the supervisor's failover drains
+                    # them as losses (vri_dropped_fault_total).
+                    if monitor.deliver(frame, vri, sim._now):
+                        stats.c_dispatched.value += 1
+                    else:
+                        stats.drop_queue_full.inc()
+
+            # 3. Transmit one processed frame, round-robin over the VRIs
+            # (the list is re-read: an allocation pass inside the
+            # capture may have created or destroyed VRIs).
+            if tally.data:
+                vris = self._vris
+                n = len(vris)
+                out_rr = self._out_rr
+                for offset in range(n):
+                    vri = vris[(out_rr + offset) % n]
+                    data_out = vri.channels.data_out
+                    if data_out._items:
+                        self._out_rr = (out_rr + offset + 1) % n
+                        break
+                else:
+                    raise RuntimeError("output tally out of step: no "
+                                       "data queue holds a frame")
+                frame = data_out.try_pop()
+                if not data_out._items:
+                    tally.data -= 1
+                # One execute per frame: the queue pop is charged
+                # together with the transmit under the tx CPU class (the
+                # pop is tiny; keeping event count low matters for
+                # multi-million-frame runs — see the HPC guide's
+                # per-event-overhead advice).
+                cost = (costs.ipc_data_cost(frame.size, vri.cross_socket)
+                        + capture.tx_cost(frame))
+                if users or waiters:
+                    yield from core.execute(cost, owner=self,
+                                            time_class=tx_class)
+                else:
+                    users.append(core)
+                    if core._last_owner is not self:
+                        cost += core.switch_to(self)
+                    try:
+                        if cost > 0.0:
+                            yield sleep(cost)
+                    finally:
+                        users.clear()
+                        if waiters:
+                            core.grant_waiters()
+                    busy[tx_class] += cost
+                now = sim._now
+                if capture.transmit(frame):
+                    stats.forwarded += 1
+                    by_vr = stats.forwarded_by_vr
+                    by_vr[vri.vr_name] = by_vr.get(vri.vr_name, 0) + 1
+                    if self.config.record_latency:
+                        stats.latency.record(now, now - frame.t_created)
+                    span = frame.span
+                    if span is not None and len(span) == 4:
+                        # All four stamps present: close the latency
+                        # span (partial stamps mean the frame was
+                        # dropped along the way and attribution would be
+                        # meaningless).
+                        t_start, t_push, t_pop, t_done = span
+                        spans.record_stamps(t_start, t_push, t_pop, t_done,
+                                            now, vri.vri_id, vri.vr_name)
+                    if _TRACE.enabled:
+                        _TRACE.instant("frame.tx", ts=now, cat="frame",
+                                       track="lvrm", vr=vri.vr_name,
+                                       vri=vri.vri_id)
+                    for hook in self.on_forward:
+                        hook(frame, now)
+                else:
+                    stats.dropped_tx += 1
+                    if _TRACE.enabled:
+                        _TRACE.instant("frame.drop", ts=now,
+                                       cat="frame", track="lvrm",
+                                       reason="tx", vri=vri.vri_id)
+                continue
             if progress:
                 continue
 
-            if not self.done.triggered and self._fully_drained():
-                # Signal trace completion, but keep serving: VRIs may
-                # still exchange control events after the data dries up.
-                self.done.succeed(self.stats)
-
-            # Idle: sleep until a NIC or queue produces work.
-            wake = self.sim.event()
-            fired = [False]
-
-            def _wake() -> None:
-                if not fired[0]:
-                    fired[0] = True
-                    wake.succeed()
-
-            self._arm_wakes(_wake)
-            if capture.exhausted:
-                if not self.done.triggered:
-                    # Input is gone but frames are still in flight: poll
-                    # periodically for the drain condition.
-                    self.sim.call_in(20e-6, _wake)
+            # Idle: sleep until a NIC or queue produces work.  VRI output
+            # needs no arming of its own: a VRI calls ``on_output``
+            # (= _notify) right after every push to its outgoing data or
+            # control queue, and nothing else pushes there.  Those
+            # queues are empty now (checked with no yield since), so
+            # only the capture side can already hold work.
+            if nics is not None:
+                # NICs are externally driven: never exhausted, never
+                # paced (the CaptureBackend defaults _NicBackend keeps).
+                park = self._park = Event(sim)
+                backlog = False
+                for nic in nics:
+                    nic.notify = notify
+                    if nic.rx_ring.items:
+                        backlog = True
+                if backlog:
+                    # A frame slipped in before arming: don't sleep on it.
+                    notify()
             else:
-                delay = capture.next_available_delay()
-                if delay is not None:
-                    # Paced trace source: wake when its next frame is due.
-                    self.sim.call_in(max(delay, 1e-9), _wake)
-            yield wake
-            self._disarm_wakes()
+                exhausted = capture.exhausted
+                if exhausted and not self.done.triggered \
+                        and self._fully_drained():
+                    # Signal trace completion, but keep serving: VRIs
+                    # may still exchange control events after the data
+                    # dries up.
+                    self.done.succeed(self.stats)
+                park = self._park = Event(sim)
+                if set_notify is not None:
+                    # Push-based backends (repro.cluster's VIP capture)
+                    # expose the same notify contract as a NIC queue,
+                    # duck-typed so the capture layer needn't know about
+                    # this loop.
+                    set_notify(notify)
+                    if capture.backlog() > 0:
+                        notify()
+                if exhausted:
+                    if not self.done.triggered:
+                        # Input is gone but frames are still in flight:
+                        # poll periodically for the drain condition.
+                        sim.call_in(20e-6, self._wake_park, arg=park)
+                else:
+                    delay = capture.next_available_delay()
+                    if delay is not None:
+                        # Paced trace source: wake when its next frame
+                        # is due.
+                        sim.call_in(max(delay, 1e-9), self._wake_park,
+                                    arg=park)
+            yield park
+            if nics is not None:
+                for nic in nics:
+                    nic.notify = None
+            elif set_notify is not None:
+                set_notify(None)

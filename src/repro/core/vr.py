@@ -64,10 +64,17 @@ class VrSpec:
             raise ConfigError("max_vris must be >= 1")
         if self.vr_type is VrType.CPP and self.click_config is not None:
             raise ConfigError("click_config given for a C++ VR")
+        # Each subnet's (mask, network), taken once: LVRM classifies
+        # every captured frame through owns().
+        object.__setattr__(self, "_masks", tuple(
+            (p.mask, p.network) for p in self.subnets))
 
     def owns(self, src_ip: int) -> bool:
         """Whether this VR is responsible for frames from ``src_ip``."""
-        return any(p.contains(src_ip) for p in self.subnets)
+        for mask, network in self._masks:
+            if src_ip & mask == network:
+                return True
+        return False
 
     def build_router(self) -> RouterModel:
         """Instantiate the per-VRI router model.

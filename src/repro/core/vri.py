@@ -30,7 +30,29 @@ from repro.obs.trace import TRACER as _TRACE
 from repro.sim.engine import Simulator
 from repro.sim.process import Interrupt
 
-__all__ = ["VriRuntime"]
+__all__ = ["VriRuntime", "OutputTally"]
+
+#: Service-jitter multipliers drawn per RNG call (see
+#: :meth:`VriRuntime._service_multiplier`).
+_JITTER_BATCH = 256
+
+
+class OutputTally:
+    """How many VRIs hold output: non-empty outgoing control / data
+    queues, counted over every VRI of one monitor.
+
+    A VRI bumps a count when its push fills an empty outgoing queue;
+    the monitor drops it when its pop empties one (and
+    :meth:`VriRuntime.drain_losses` when a teardown does).  Nothing else
+    pushes to or pops from those queues, so the monitor's main loop
+    asks "is there output anywhere?" with one read instead of a scan.
+    """
+
+    __slots__ = ("ctrl", "data")
+
+    def __init__(self) -> None:
+        self.ctrl = 0
+        self.data = 0
 
 
 class VriRuntime:
@@ -42,7 +64,8 @@ class VriRuntime:
                  rng: np.random.Generator,
                  on_output: Callable[[], None],
                  service_jitter: Optional[float] = None,
-                 obs_labels: Optional[Dict[str, str]] = None):
+                 obs_labels: Optional[Dict[str, str]] = None,
+                 tally: Optional[OutputTally] = None):
         self.sim = sim
         self.vri_id = vri_id
         self.vr_name = vr_name
@@ -54,8 +77,13 @@ class VriRuntime:
         self.per_frame_penalty = per_frame_penalty
         self._rng = rng
         self._on_output = on_output
+        #: The owning monitor's output count (a private one when the VRI
+        #: is built standalone).
+        self.tally = tally if tally is not None else OutputTally()
         self._jitter = (costs.service_jitter if service_jitter is None
                         else service_jitter)
+        #: Service-jitter multipliers drawn ahead, next one last.
+        self._jitter_draws: list = []
         self.adapter = VriAdapter(vri_id)
         self.lvrm_adapter = LvrmAdapter(vri_id)
         #: Extra cost charged to *LVRM* per dispatched frame (kernel-
@@ -113,6 +141,10 @@ class VriRuntime:
         #: The placement this VRI was created with (set by the VRI
         #: monitor); the supervisor respawns a crashed VRI onto it.
         self.placement = None
+        #: The pending idle-park event, or None while the loop runs: the
+        #: incoming queues' one-shot wake hooks call :meth:`_unpark`.
+        self._park = None
+        self._unpark_cb = self._unpark
         self.process = sim.process(self._run())
 
     # -- read-through drop-counter views ------------------------------------------
@@ -144,8 +176,10 @@ class VriRuntime:
         occupancy — the very "data count" of Figure 3.4 — breaks those
         ties in favour of the actually-idle instances.
         """
-        return (self.adapter.load_estimate()
-                + self.channels.data_in.data_count)
+        # adapter.load_estimate() + data_in.data_count, read directly:
+        # JSQ asks every VRI of the VR for this on every frame.
+        return (self.adapter.estimator.get()
+                + len(self.channels.data_in._items))
 
     @property
     def queue_len(self) -> int:
@@ -189,11 +223,16 @@ class VriRuntime:
 
     def drain_losses(self) -> int:
         """Count (and clear) frames stranded in the queues at death."""
+        ch = self.channels
+        if ch.data_out._items:
+            self.tally.data -= 1
+        if ch.ctrl_out._items:
+            self.tally.ctrl -= 1
         stranded = 0
-        for q in (self.channels.data_in, self.channels.data_out):
+        for q in (ch.data_in, ch.data_out):
             while q.try_pop() is not None:
                 stranded += 1
-        for q in (self.channels.ctrl_in, self.channels.ctrl_out):
+        for q in (ch.ctrl_in, ch.ctrl_out):
             while q.try_pop() is not None:
                 pass
         return stranded
@@ -205,72 +244,99 @@ class VriRuntime:
         ``toLVRM()`` would)."""
         cost = self.costs.ipc_ctrl_cost(event.size, self.cross_socket)
         yield from self.core.execute(cost, owner=self, time_class="us")
-        self.channels.ctrl_out.try_push(event)
+        ctrl_out = self.channels.ctrl_out
+        was_empty = not ctrl_out._items
+        ctrl_out.try_push(event)
+        if was_empty and ctrl_out._items:
+            self.tally.ctrl += 1
         self._on_output()
 
     # -- the VRI main loop -----------------------------------------------------------
     def _service_multiplier(self) -> float:
         if self._jitter <= 0.0:
             return 1.0
-        sigma = self._jitter
-        # Lognormal with unit mean: exp(N(-sigma^2/2, sigma)).
-        return float(self._rng.lognormal(-0.5 * sigma * sigma, sigma))
+        draws = self._jitter_draws
+        if not draws:
+            # Lognormal with unit mean: exp(N(-sigma^2/2, sigma)).  The
+            # stream is this VRI's alone, and numpy's array draw runs
+            # the scalar draw's routine per element, so drawing a batch
+            # hands every frame the very value a per-frame draw would.
+            sigma = self._jitter
+            draws = self._jitter_draws = self._rng.lognormal(
+                -0.5 * sigma * sigma, sigma, _JITTER_BATCH).tolist()
+            draws.reverse()
+        return draws.pop()
+
+    def _unpark(self) -> None:
+        """Wake hook of the incoming queues: end the idle park, once."""
+        park = self._park
+        if park is not None:
+            self._park = None
+            park.succeed()
 
     def _run(self):
-        try:
-            yield from self._serve()
-        except Interrupt as intr:
-            if intr.cause == "hang":
-                # Wedged, not dead: park on an event that never fires.
-                # The supervisor's liveness check eventually kill()s us,
-                # which lands as a second interrupt right here.
-                try:
-                    yield self.sim.event()
-                except Interrupt:
-                    pass
-            return "killed"
+        """The VRI process: serve until killed.
 
-    def _serve(self):
+        One generator frame per step: an idle core is taken inline, the
+        way :meth:`Core.execute`'s uncontended path takes it (hold it,
+        one pooled sleep, release it).  A busy core, a control event and
+        a torn slot go through ``core.execute``.
+        """
         sim = self.sim
+        sleep = sim.sleep
         costs = self.costs
         ch = self.channels
-        while True:
-            # Control first: higher priority than data (thesis §2.1).
-            event = ch.ctrl_in.try_pop()
-            if event is not None:
-                cost = costs.ipc_ctrl_cost(event.size, self.cross_socket)
-                yield from self.core.execute(cost, owner=self,
-                                             time_class="us")
-                self.ctrl_received += 1
-                self.last_progress = sim.now
-                if self.control_handler is not None:
-                    self.control_handler(event, self)
-                continue
+        ctrl_in, data_in, data_out = ch.ctrl_in, ch.data_in, ch.data_out
+        core = self.core
+        users, waiters, busy = core.users, core.waiters, core.busy
+        try:
+            while True:
+                # Control first: higher priority than data (thesis §2.1).
+                if ctrl_in._items:
+                    event = ctrl_in.try_pop()
+                    cost = costs.ipc_ctrl_cost(event.size, self.cross_socket)
+                    yield from core.execute(cost, owner=self,
+                                            time_class="us")
+                    self.ctrl_received += 1
+                    self.last_progress = sim._now
+                    if self.control_handler is not None:
+                        self.control_handler(event, self)
+                    continue
 
-            frame = ch.data_in.try_pop()
-            if frame is not None:
-                self._c_frames.inc()
-                if isinstance(frame, Corrupted):
+                if not data_in._items:
+                    # Idle: sleep until either incoming queue gets an
+                    # item (both are empty, so each hook is armed).
+                    park = self._park = sim.event()
+                    ctrl_in.set_wake(self._unpark_cb)
+                    data_in.set_wake(self._unpark_cb)
+                    yield park
+                    ctrl_in.clear_wake()
+                    data_in.clear_wake()
+                    continue
+
+                frame = data_in.try_pop()
+                self._c_frames.value += 1
+                if type(frame) is Corrupted:
                     # A torn slot: pay the pop, discard the record.
                     pop = costs.ipc_data_cost(
                         frame.item.size, self.cross_socket)
-                    yield from self.core.execute(pop, owner=self,
-                                                 time_class="us")
+                    yield from core.execute(pop, owner=self,
+                                            time_class="us")
                     self._c_corrupt.inc()
-                    self.last_progress = sim.now
+                    self.last_progress = sim._now
                     if _TRACE.enabled:
-                        _TRACE.instant("frame.drop", ts=sim.now,
+                        _TRACE.instant("frame.drop", ts=sim._now,
                                        cat="frame",
                                        track=f"vri{self.vri_id}",
                                        reason="corrupt",
                                        vri=self.vri_id)
                     continue
                 if _TRACE.enabled:
-                    _TRACE.instant("frame.dequeue", ts=sim.now,
+                    _TRACE.instant("frame.dequeue", ts=sim._now,
                                    cat="frame", track=f"vri{self.vri_id}",
                                    vr=self.vr_name, vri=self.vri_id,
-                                   qlen=ch.data_in.data_count)
-                t_pop = sim.now
+                                   qlen=data_in.data_count)
+                t_pop = sim._now
                 # The push costs what the pop does (same frame, same
                 # queue pair), bit for bit.
                 pop = push = costs.ipc_data_cost(frame.size,
@@ -283,48 +349,60 @@ class VriRuntime:
                 # timer event per frame instead of three (the HPC
                 # guides' per-event overhead rule); ordering of the
                 # outgoing push is unchanged.
-                yield from self.core.execute(pop + service + push,
-                                             owner=self, time_class="us")
+                cost = pop + service + push
+                if users or waiters:
+                    yield from core.execute(cost, owner=self,
+                                            time_class="us")
+                else:
+                    users.append(core)
+                    if core._last_owner is not self:
+                        cost += core.switch_to(self)
+                    try:
+                        if cost > 0.0:
+                            yield sleep(cost)
+                    finally:
+                        users.clear()
+                        if waiters:
+                            core.grant_waiters()
+                    busy["us"] += cost
                 self.lvrm_adapter.record_service(pop + service)
-                self.last_progress = sim.now
+                now = sim._now
+                self.last_progress = now
                 if frame.span is not None:
                     # Sampled frame: stamp service entry/exit (sim-time).
-                    frame.span += (t_pop, sim.now)
+                    frame.span += (t_pop, now)
                 if not self.router.process(frame):
                     self._c_no_route.inc()
                     if _TRACE.enabled:
-                        _TRACE.instant("frame.drop", ts=sim.now,
+                        _TRACE.instant("frame.drop", ts=now,
                                        cat="frame",
                                        track=f"vri{self.vri_id}",
                                        reason="no_route",
                                        vri=self.vri_id)
                     continue
-                if ch.data_out.try_push(frame):
+                was_empty = not data_out._items
+                if data_out.try_push(frame):
+                    if was_empty and data_out._items:
+                        self.tally.data += 1
                     self.processed += 1
-                    self._c_forwarded.inc()
+                    self._c_forwarded.value += 1
                     self.lvrm_adapter.record_output()
                     self._on_output()
                 else:
                     self._c_out_full.inc()
                     if _TRACE.enabled:
-                        _TRACE.instant("frame.drop", ts=sim.now,
+                        _TRACE.instant("frame.drop", ts=now,
                                        cat="frame",
                                        track=f"vri{self.vri_id}",
                                        reason="out_full",
                                        vri=self.vri_id)
-                continue
-
-            # Idle: sleep until either incoming queue gets an item.
-            wake = sim.event()
-            fired = [False]
-
-            def _wake() -> None:
-                if not fired[0]:
-                    fired[0] = True
-                    wake.succeed()
-
-            ch.ctrl_in.set_wake(_wake)
-            ch.data_in.set_wake(_wake)
-            yield wake
-            ch.ctrl_in.clear_wake()
-            ch.data_in.clear_wake()
+        except Interrupt as intr:
+            if intr.cause == "hang":
+                # Wedged, not dead: park on an event that never fires.
+                # The supervisor's liveness check eventually kill()s us,
+                # which lands as a second interrupt right here.
+                try:
+                    yield self.sim.event()
+                except Interrupt:
+                    pass
+            return "killed"

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.balancing import LoadBalancer
 from repro.core.estimation import EwmaArrivalRate
 from repro.core.vr import VrSpec
-from repro.core.vri import VriRuntime
+from repro.core.vri import OutputTally, VriRuntime
 from repro.errors import AllocationError
 from repro.hardware.affinity import Placement
 from repro.ipc.queues import VriChannels
@@ -40,7 +40,8 @@ class VriMonitor:
                  on_output: Callable[[], None],
                  memory_budget=None,
                  obs_labels: Optional[Dict[str, str]] = None,
-                 on_vris_changed: Optional[Callable[[], None]] = None):
+                 on_vris_changed: Optional[Callable[[], None]] = None,
+                 tally: Optional[OutputTally] = None):
         self.sim = sim
         self.spec = spec
         self.machine = machine
@@ -58,6 +59,9 @@ class VriMonitor:
         #: Called after every change to :attr:`vris` (the owning Lvrm
         #: caches the concatenation of its monitors' lists).
         self._on_vris_changed = on_vris_changed
+        #: The monitor process's output tally, shared by every VRI this
+        #: monitor spawns (None: each VRI keeps its own).
+        self._tally = tally
         #: Monotone count of VRIs this monitor has ever spawned; names
         #: the per-VRI RNG streams.  Deliberately *local* (unlike the
         #: global vri_id): repeated identical experiments in the same
@@ -129,7 +133,7 @@ class VriMonitor:
             rng=self.rng_registry.stream(
                 f"{self.spec.name}.vri{self._spawn_seq}.jitter"),
             on_output=self._on_output,
-            obs_labels=self.obs_scope)
+            obs_labels=self.obs_scope, tally=self._tally)
         if placement.kernel_managed:
             vri.producer_penalty = self.costs.kernel_sched_penalty
         vri.placement = placement
@@ -240,9 +244,9 @@ class VriMonitor:
     def deliver(self, frame, vri: VriRuntime, now: float) -> bool:
         """Push the frame into the chosen VRI's incoming data queue and
         feed the load estimator (the VRI adapter's duty)."""
-        accepted = vri.channels.data_in.try_push(frame)
-        vri.adapter.observe_dispatch(now, vri.channels.data_in.data_count,
-                                     accepted)
+        data_in = vri.channels.data_in
+        accepted = data_in.try_push(frame)
+        vri.adapter.observe_dispatch(now, len(data_in._items), accepted)
         if accepted:
             self.dispatched += 1
             if frame.span is not None:

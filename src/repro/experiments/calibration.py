@@ -52,8 +52,9 @@ def lvrm_stage_cost(costs: CostModel, frame_size: int, adapter: str,
                     flow_based: bool = False) -> float:
     """Per-frame cost of the LVRM process: rx + dispatch + drain + tx.
 
-    Mirrors :meth:`Lvrm._capture_one` + :meth:`Lvrm._transmit_one`
-    exactly; the tests enforce that the two never drift apart.
+    Mirrors the capture, dispatch and transmit steps of
+    :meth:`Lvrm._run` exactly; the tests enforce that the two never
+    drift apart.
     """
     if adapter == "pf-ring":
         rx, tx = costs.pfring_rx, costs.pfring_tx

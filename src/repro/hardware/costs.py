@@ -186,7 +186,8 @@ class CostModel:
         longer moves through the ring.  The payload's single staging
         copy into the arena is charged separately at dispatch
         (``arena_alloc_cost`` plus the original per-byte cost, see
-        ``Lvrm._capture_one``).  Control queues are untouched.
+        the dispatch step of ``Lvrm._run``).  Control queues are
+        untouched.
         """
         return self.replace(ipc_op=self.ipc_desc_op, ipc_per_byte=0.0)
 

@@ -39,6 +39,13 @@ class Core:
         self.socket = socket
         self.costs = costs
         self._resource = Resource(sim, capacity=1)
+        #: The resource's holder list and wait queue.  Both empty means
+        #: the core is idle: the LVRM and VRI loops test this and run
+        #: :meth:`execute`'s uncontended path inline (see there).
+        self.users = self._resource.users
+        self.waiters = self._resource._waiters
+        #: Hands a just-freed core to the oldest queued request.
+        self.grant_waiters = self._resource.grant_waiters
         self._last_owner: Optional[object] = None
         #: Busy seconds per CPU-time class since construction.
         self.busy: Dict[str, float] = {c: 0.0 for c in CPU_TIME_CLASSES}
@@ -62,42 +69,45 @@ class Core:
             raise ValueError(f"negative execution duration: {duration}")
         if time_class not in CPU_TIME_CLASSES:
             raise ValueError(f"unknown CPU time class {time_class!r}")
-        resource = self._resource
-        if not resource.users and not resource._waiters:
-            # Uncontended fast path: one timer event instead of three.
-            # Resource.acquire_nowait() inlined for this capacity-1
-            # resource, with the core itself as the token — this runs
-            # for every frame on every core.
-            resource.users.append(self)
+        users = self.users
+        if not users and not self.waiters:
+            # Uncontended: take the idle core with no request event, the
+            # core itself as the token.  ``Lvrm._run`` and
+            # ``VriRuntime._run`` run this same path inline, without
+            # this generator; a change here changes them too.
+            users.append(self)
+            total = duration
+            if owner is not None and owner is not self._last_owner:
+                total += self.switch_to(owner)
             try:
-                total = duration
-                if owner is not None and self._last_owner is not None \
-                        and owner is not self._last_owner:
-                    total += self.costs.context_switch
-                    self.context_switches += 1
-                if owner is not None:
-                    self._last_owner = owner
                 if total > 0.0:
                     yield self.sim.sleep(total)
-                self.busy[time_class] += total
             finally:
-                resource.release_nowait(self)
+                users.clear()
+                if self.waiters:
+                    self.grant_waiters()
+            self.busy[time_class] += total
             return
         req = self._resource.request()
         yield req
         try:
             total = duration
-            if owner is not None and self._last_owner is not None \
-                    and owner is not self._last_owner:
-                total += self.costs.context_switch
-                self.context_switches += 1
-            if owner is not None:
-                self._last_owner = owner
+            if owner is not None and owner is not self._last_owner:
+                total += self.switch_to(owner)
             if total > 0.0:
                 yield self.sim.sleep(total)
             self.busy[time_class] += total
         finally:
             req.release()
+
+    def switch_to(self, owner: object) -> float:
+        """Make ``owner`` the core's current process; returns the
+        context-switch seconds that costs (none for the first owner)."""
+        previous, self._last_owner = self._last_owner, owner
+        if previous is None:
+            return 0.0
+        self.context_switches += 1
+        return self.costs.context_switch
 
     def charge(self, duration: float, time_class: str = "us") -> None:
         """Account busy time without simulating occupancy.

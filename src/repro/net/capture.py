@@ -86,10 +86,12 @@ class _NicBackend(CaptureBackend):
         for offset in range(n):
             nic = nics[(start + offset) % n]
             # An empty ring is skipped without the pop call (which would
-            # return None for it anyway).
-            if nic.rx_ring.items:
+            # return None for it anyway); a non-empty one is popped
+            # directly (``nic.poll()`` is this same ``try_get``).
+            ring = nic.rx_ring
+            if ring.items:
                 self._next_nic = (start + offset + 1) % n
-                return nic.poll()
+                return ring.try_get()
         return None
 
     def backlog(self) -> int:

@@ -30,6 +30,8 @@ class Host:
         self.handler: Optional[Callable[[Frame], None]] = None
         self.rx_count = 0
         self.tx_count = 0
+        self._handle_cb = self._handle
+        self._transmit_cb = self._transmit
 
     def attach_tx(self, link: Link) -> None:
         self.tx_link = link
@@ -38,8 +40,12 @@ class Host:
     def receive(self, frame: Frame) -> None:
         self.rx_count += 1
         if self.handler is not None:
-            self.sim.call_in(self.costs.host_stack_latency,
-                             lambda f=frame: self.handler(f))
+            sim = self.sim
+            sim.call_at(sim._now + self.costs.host_stack_latency,
+                        self._handle_cb, arg=frame)
+
+    def _handle(self, frame: Frame) -> None:
+        self.handler(frame)  # type: ignore[misc]
 
     # -- application side -----------------------------------------------------
     def send(self, frame: Frame) -> None:
@@ -47,8 +53,10 @@ class Host:
         if self.tx_link is None:
             raise RuntimeError(f"host {self.name!r} has no tx link")
         self.tx_count += 1
-        self.sim.call_in(self.costs.host_stack_latency, self._transmit,
-                         arg=frame)
+        # call_in(), spelled out (once per frame sent).
+        sim = self.sim
+        sim.call_at(sim._now + self.costs.host_stack_latency,
+                    self._transmit_cb, arg=frame)
 
     def _transmit(self, frame: Frame) -> None:
         self.tx_link.send(frame)  # type: ignore[union-attr]

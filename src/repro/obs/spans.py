@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -227,8 +228,14 @@ class SpanRecorder:
         durations = (span.dispatch, span.ring_wait, span.service,
                      span.drain, span.total)
         for hist, dur in zip(hists, durations):
-            # max(0.0, dur), spelled out: negatives (and -0.0) read 0.0.
-            hist.observe(dur if dur > 0.0 else 0.0)
+            # hist.observe(max(0.0, dur)), spelled out (five per span,
+            # and the DES records every frame): negatives and -0.0
+            # read 0.0.
+            if not dur > 0.0:
+                dur = 0.0
+            hist.counts[bisect_left(hist.buckets, dur)] += 1
+            hist.sum += dur
+            hist.count += 1
         self.recent.append(span)
         self.recorded += 1
         if TRACER.enabled:
@@ -242,12 +249,8 @@ class SpanRecorder:
                       t_done: float, t_drained: float,
                       vri_id: Optional[int] = None, vr: str = "") -> FrameSpan:
         """Build and record a span from the five pipeline timestamps."""
-        span = FrameSpan(ts=t_drained,
-                         dispatch=t_push - t_start,
-                         ring_wait=t_pop - t_push,
-                         service=t_done - t_pop,
-                         drain=t_drained - t_done,
-                         vri_id=vri_id, vr=vr)
+        span = FrameSpan(t_drained, t_push - t_start, t_pop - t_push,
+                         t_done - t_pop, t_drained - t_done, vri_id, vr)
         self.record(span)
         return span
 

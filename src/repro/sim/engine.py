@@ -18,6 +18,8 @@ __all__ = ["Simulator", "Event", "Timeout", "StopSimulation", "PENDING"]
 #: Sentinel for an event that has not been triggered yet.
 PENDING = object()
 
+_heappush = heapq.heappush
+
 #: Default event priority.  Lower runs first among simultaneous events.
 NORMAL = 1
 #: Priority used for high-urgency bookkeeping (e.g. interrupts).
@@ -46,6 +48,10 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        EVENT_TYPES.add(cls)
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -77,11 +83,15 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value`` after ``delay``."""
-        if self.triggered:
+        # ``triggered`` and ``_enqueue`` spelled out: every park wake in
+        # the LVRM and VRI loops lands here.
+        if self._value is not PENDING:
             raise RuntimeError("event already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(delay, NORMAL, self)
+        sim = self.sim
+        sim._seq += 1
+        _heappush(sim._heap, (sim._now + delay, NORMAL, sim._seq, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -126,6 +136,12 @@ class Event:
         return f"<{type(self).__name__} {state} at {hex(id(self))}>"
 
 
+#: Every :class:`Event` class, subclasses included (each registers in
+#: ``__init_subclass__``): ``Process._resume`` checks what a generator
+#: yielded with one set probe instead of an ``isinstance`` call.
+EVENT_TYPES = {Event}
+
+
 class Timeout(Event):
     """An event that fires automatically after a fixed delay."""
 
@@ -149,9 +165,21 @@ class _PooledTimeout(Event):
     sleeping for a fixed delay — stops allocating an ``Event`` plus a
     callback list per occurrence.  They must therefore never be stored
     past their firing; :meth:`Simulator.sleep` documents the contract.
+    A recycled event keeps its emptied callback list, so a sleep
+    allocates nothing.  The free list is unbounded but never outgrows
+    the most sleeps ever pending at once: each event on it once was.
     """
 
     __slots__ = ()
+
+    def _process(self) -> None:
+        callbacks, self.callbacks = self.callbacks, None
+        for fn in callbacks:  # type: ignore[union-attr]
+            fn(self)
+        callbacks.clear()  # type: ignore[union-attr]
+        self.callbacks = callbacks
+        self._value = PENDING
+        self.sim._timeout_pool.append(self)
 
 
 #: ``_Call.arg`` when the callback takes no argument.
@@ -186,12 +214,6 @@ class _Call(Event):
             self.fn(arg)
         for fn in callbacks:
             fn(self)
-
-
-#: Upper bound on recycled timeout events kept per simulator.  Deeper
-#: pools only help when that many sleeps are simultaneously pending,
-#: which no LVRM scenario approaches.
-_POOL_MAX = 1024
 
 
 class Simulator:
@@ -251,16 +273,16 @@ class Simulator:
         if delay < 0:
             raise ValueError(f"negative sleep delay: {delay!r}")
         pool = self._timeout_pool
+        # A recycled event comes back succeeded, undefused, and with its
+        # emptied callback list: nothing to allocate or reset but the
+        # value.
         if pool:
             ev = pool.pop()
-            ev.callbacks = []
-            ev._defused = False
         else:
             ev = _PooledTimeout(self)
-        ev._ok = True
         ev._value = value
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, NORMAL, self._seq, ev))
+        _heappush(self._heap, (self._now + delay, NORMAL, self._seq, ev))
         return ev
 
     def process(self, generator) -> "Process":
@@ -293,9 +315,8 @@ class Simulator:
         # ``now + (time - now)``, not ``time``: the heap key must stay
         # the float every earlier version computed, or same-time ties
         # (and hence event order) could change.
-        heapq.heappush(self._heap, (now + (time - now),
-                                    URGENT if urgent else NORMAL, self._seq,
-                                    ev))
+        _heappush(self._heap, (now + (time - now),
+                               URGENT if urgent else NORMAL, self._seq, ev))
         return ev
 
     def call_in(self, delay: float, fn: Callable[..., None],
@@ -306,7 +327,7 @@ class Simulator:
     # -- scheduling internals ---------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        _heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
     # -- main loop ---------------------------------------------------------------
     def peek(self) -> float:
@@ -319,9 +340,6 @@ class Simulator:
         self._now = time
         self.events_processed += 1
         event._process()
-        if type(event) is _PooledTimeout and len(self._timeout_pool) < _POOL_MAX:
-            event._value = PENDING
-            self._timeout_pool.append(event)
 
     def run(self, until: Optional[float] = None) -> Any:
         """Run until the heap drains or ``until`` (absolute time) is reached.
@@ -357,18 +375,18 @@ class Simulator:
                     self._now = time
                     processed += 1
                     try:
-                        # The two commonest event types get their
-                        # ``_process()`` inlined; both always succeed,
-                        # so there is nothing to re-raise afterwards.
+                        # The three commonest event types get their
+                        # ``_process()`` inlined.
                         cls = type(event)
                         if cls is _PooledTimeout:
                             callbacks = event.callbacks
                             event.callbacks = None
                             for fn in callbacks:
                                 fn(event)
-                            if len(pool) < _POOL_MAX:
-                                event._value = PENDING
-                                pool.append(event)
+                            callbacks.clear()
+                            event.callbacks = callbacks
+                            event._value = PENDING
+                            pool.append(event)
                         elif cls is _Call:
                             callbacks = event.callbacks
                             event.callbacks = None
@@ -379,6 +397,14 @@ class Simulator:
                                 event.fn(arg)
                             for fn in callbacks:
                                 fn(event)
+                        elif cls is Event:
+                            # Plain events: the idle-park wakes.
+                            callbacks = event.callbacks
+                            event.callbacks = None
+                            for fn in callbacks:
+                                fn(event)
+                            if not event._ok and not event._defused:
+                                raise event._value
                         else:
                             event._process()
                     except StopSimulation as stop:

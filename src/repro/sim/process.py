@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import PENDING, Event, Simulator, URGENT
+from repro.sim.engine import EVENT_TYPES, PENDING, Event, Simulator, URGENT
 
 __all__ = ["Process", "Interrupt", "ProcessCrash"]
 
@@ -41,24 +41,27 @@ class ProcessCrash(RuntimeError):
 class Process(Event):
     """A running simulation process (also an event: fires at termination)."""
 
-    __slots__ = ("generator", "_target", "name", "_send", "_throw")
+    __slots__ = ("generator", "_target", "name", "_send", "_throw",
+                 "_resume_cb")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim)
         self.generator = generator
-        # Bound methods cached once: _step runs per event, and the
-        # attribute chain generator.send/.throw is measurable there.
+        # Bound methods made once: the resume path runs per event, and
+        # neither the attribute chain generator.send/.throw nor a fresh
+        # bound ``self._resume`` per wait may cost anything there.
         self._send = generator.send
         self._throw = generator.throw
+        self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         #: The event this process is currently waiting on (None if just born
         #: or already dead).
         self._target: Optional[Event] = None
         # Bootstrap: resume once at the current time.
         boot = Event(sim)
-        boot.add_callback(self._resume)
+        boot.add_callback(self._resume_cb)
         boot._ok = True
         boot._value = None
         sim._enqueue(0.0, URGENT, boot)
@@ -72,6 +75,9 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process as soon as possible."""
         if not self.is_alive:
             return  # interrupting the dead is a no-op
+        # The interrupt travels as a failed, pre-defused event: resuming
+        # the process with it throws the Interrupt in, through the same
+        # path that delivers any other failed event.
         ev = Event(self.sim)
         def _throw(_e: Event) -> None:
             if not self.is_alive:
@@ -79,24 +85,32 @@ class Process(Event):
             # Detach from whatever the process was waiting on.
             target, self._target = self._target, None
             if target is not None and not target.processed:
-                if target.callbacks is not None and self._resume in target.callbacks:
-                    target.callbacks.remove(self._resume)
+                if target.callbacks is not None \
+                        and self._resume_cb in target.callbacks:
+                    target.callbacks.remove(self._resume_cb)
                 # Resource-like events (queued store gets/puts, resource
                 # requests) must also leave their wait queues, or a later
                 # fulfilment is silently lost on a dead process.
                 abandon = getattr(target, "_abandon", None)
                 if abandon is not None and not target.triggered:
                     abandon()
-            self._step(Interrupt(cause), throw=True)
+            self._resume(ev)
         ev.add_callback(_throw)
-        ev._ok = True
-        ev._value = None
+        ev._ok = False
+        ev._value = Interrupt(cause)
+        ev._defused = True
         self.sim._enqueue(0.0, URGENT, ev)
 
     # -- resumption machinery --------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Runs once per resumption: reads the Event slots, not the
-        # ``triggered``/``ok`` properties.
+        """Advance the generator with ``event``'s outcome and wait on
+        whatever it yields next.
+
+        The one resume path, run once per event a process waits on: it
+        reads the Event slots rather than their properties, checks the
+        yielded target with a set probe, and re-arms with the bound
+        method made at construction, so it allocates nothing.
+        """
         if self._value is not PENDING:
             # The process died (e.g. was interrupted) between this event's
             # trigger and its processing; nothing to resume.
@@ -104,18 +118,12 @@ class Process(Event):
                 event._defused = True
             return
         self._target = None
-        if event._ok:
-            self._step(event.value, False)
-        else:
-            event._defused = True
-            self._step(event.value, True)
-
-    def _step(self, value: Any, throw: bool) -> None:
         try:
-            if throw:
-                target = self._throw(value)
+            if event._ok:
+                target = self._send(event._value)
             else:
-                target = self._send(value)
+                event._defused = True
+                target = self._throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -126,7 +134,7 @@ class Process(Event):
         except BaseException as exc:
             self.fail(exc)
             return
-        if not isinstance(target, Event):
+        if type(target) not in EVENT_TYPES:
             crash = ProcessCrash(
                 f"process {self.name!r} yielded {target!r}; processes must "
                 f"yield Event instances")
@@ -134,4 +142,10 @@ class Process(Event):
             self.fail(crash)
             return
         self._target = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume_cb)
+        else:
+            # Already processed: resume at once (Event.add_callback's
+            # rule, still inside the current step).
+            self._resume(target)

@@ -92,10 +92,12 @@ class Store:
     # -- non-blocking API --------------------------------------------------------
     def try_put(self, item: Any) -> bool:
         """Store ``item`` if there is room *right now*; never blocks."""
-        if self.is_full:
+        items = self.items
+        if len(items) >= self.capacity:
             return False
-        self.items.append(item)
-        self._dispatch()
+        items.append(item)
+        if self._putters or self._getters:
+            self._dispatch()
         return True
 
     def try_get(self) -> Optional[Any]:
@@ -103,10 +105,12 @@ class Store:
 
         Returns ``None`` when empty (items must therefore never be None).
         """
-        if not self.items:
+        items = self.items
+        if not items:
             return None
-        item = self.items.popleft()
-        self._dispatch()
+        item = items.popleft()
+        if self._putters or self._getters:
+            self._dispatch()
         return item
 
     # -- internals -----------------------------------------------------------------
@@ -186,6 +190,10 @@ class Resource:
 
     def release_nowait(self, token) -> None:
         self.users.remove(token)
+        self.grant_waiters()
+
+    def grant_waiters(self) -> None:
+        """Hand free capacity to queued requests, oldest first."""
         while self._waiters and len(self.users) < self.capacity:
             nxt = self._waiters.popleft()
             self.users.append(nxt)
@@ -200,7 +208,4 @@ class Resource:
         elif req in self._waiters:
             self._waiters.remove(req)
             return
-        while self._waiters and len(self.users) < self.capacity:
-            nxt = self._waiters.popleft()
-            self.users.append(nxt)
-            nxt.succeed()
+        self.grant_waiters()

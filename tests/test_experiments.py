@@ -14,10 +14,11 @@ import pytest
 from repro.experiments import QUICK, run_experiment
 from repro.experiments.common import get_profile
 from repro.experiments.exp1_overhead import exp1a_cpu, exp1c, exp1d, exp1e
-from repro.experiments.exp2_core_alloc import (exp2a, exp2b, exp2c,
+from repro.experiments.exp2_core_alloc import (exp2a, exp2b,
                                                exp2c_reaction, exp2e)
 from repro.experiments.exp3_load_balance import exp3a, exp3b, run_ftp_scenario
 from repro.errors import ConfigError
+from tests import des_cases
 
 #: Sub-QUICK profile for the search-heavy tests.
 TESTP = dataclasses.replace(
@@ -148,8 +149,10 @@ def test_exp2b_scales_then_drops_past_cores():
 
 
 def test_exp2c_staircase_tracks_ramp():
-    r = exp2c(TESTP)
-    rows = [(t, rate, cores) for t, rate, cores in r.rows]
+    # The golden-pinned exp2c run at bench/'s des_ramp scale, shared with
+    # test_des_golden.py and test_determinism.py (one simulation for all).
+    rows = [(t, rate, cores) for t, rate, cores
+            in des_cases.first("exp2c_bench_scale")["rows"]]
     by_rate = {}
     for _t, rate, cores in rows:
         by_rate.setdefault(rate, []).append(cores)

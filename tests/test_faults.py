@@ -170,10 +170,26 @@ def test_injector_refuses_double_arm(sim, testbed):
 # The acceptance scenario: kill 1 of 3 mid-run, zero lost flows
 # ---------------------------------------------------------------------------
 
-def test_des_scenario_kill_one_of_three_loses_no_flows():
+@pytest.fixture(scope="module")
+def kill_one_of_three(tmp_path_factory):
+    """One run of the 4-s kill schedule, shared by the two tests below:
+    the report, the ``slo.breach`` flight-recorder edges read straight
+    after the run (the recorder is process-global), and the post-mortem
+    directory."""
+    from repro.obs.recorder import RECORDER
+
+    postmortems = tmp_path_factory.mktemp("postmortems")
     sched = FaultSchedule((FaultSpec(t=2.0, kind="kill", vri=1),),
                           "kill VRI 1 at t=2s")
-    report = run_des_scenario(sched, duration=4.0)
+    report = run_des_scenario(sched, duration=4.0,
+                              postmortem_dir=str(postmortems))
+    edges = [e for e in RECORDER.events()
+             if getattr(e, "name", "") == "slo.breach"]
+    return report, edges, postmortems
+
+
+def test_des_scenario_kill_one_of_three_loses_no_flows(kill_one_of_three):
+    report, _edges, _postmortems = kill_one_of_three
     assert report["faults"]["injected"] == 1
     assert report["supervisor"]["failovers"] == 1
     assert report["supervisor"]["restarts"] == 1
@@ -183,28 +199,22 @@ def test_des_scenario_kill_one_of_three_loses_no_flows():
     assert report["received"] > 0.9 * report["sent"]
 
 
-def test_des_scenario_kill_breaches_the_drop_slo_and_dumps_postmortem(tmp_path):
+def test_des_scenario_kill_breaches_the_drop_slo_and_dumps_postmortem(
+        kill_one_of_three):
     """The kill is *observable*: ~one supervision period of frames
     strands in the corpse's ring, so the no-drops SLO breaches (counter
     plus ``slo.breach`` flight-recorder note) and the failover leaves a
     post-mortem dump — while every flow still survives."""
-    from repro.obs.recorder import RECORDER
-
-    sched = FaultSchedule((FaultSpec(t=2.0, kind="kill", vri=1),),
-                          "kill VRI 1 at t=2s")
-    report = run_des_scenario(sched, duration=4.0,
-                              postmortem_dir=str(tmp_path))
+    report, edges, postmortems = kill_one_of_three
     slo = report["slo"]
     assert slo["breaches"]["no-drops"] > 0
     assert "no-drops" in slo["breaching"]
     # Heartbeats recovered after the restart: only the cumulative
     # drop-rate budget stays blown.
     assert slo["breaches"].get("fresh-heartbeats", 0) == 0
-    edges = [e for e in RECORDER.events()
-             if getattr(e, "name", "") == "slo.breach"]
     assert edges and edges[0].args["rule"] == "no-drops"
     assert edges[0].args["dropped"] > 0
-    dumps = list(tmp_path.glob("postmortem-lvrm*-vri*-crash-1.txt"))
+    dumps = list(postmortems.glob("postmortem-lvrm*-vri*-crash-1.txt"))
     assert len(dumps) == 1
     text = dumps[0].read_text()
     assert "flight recorder dump" in text and "supervisor.failover" in text

@@ -1,15 +1,23 @@
 """``Simulator.run()`` is ``step()`` in a loop, fast paths and all.
 
-``run()`` inlines the processing of pooled timeouts and ``call_at``
-events; ``step()`` is the reference path that goes through each event's
-own ``_process()``.  Driving one randomly generated scenario with each
-must log the same ``(now, callback)`` sequence, return the same stop
-value, and process the same number of events.
+``run()`` inlines the processing of pooled timeouts, ``call_at`` events
+and plain events; ``step()`` is the reference path that goes through
+each event's own ``_process()``.  Driving one randomly generated
+scenario with each must log the same ``(now, callback)`` sequence,
+return the same stop value, and process the same number of events.
+
+:data:`FAST_PATHS` lists every engine and process fast path; the fixed
+scenario of :func:`test_scenario_exercises_every_fast_path` is drawn
+from the same space as the hypothesis scenarios and must execute each.
 """
+
+import inspect
+import sys
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Interrupt, Simulator, StopSimulation
+from repro.sim import engine, process
 
 #: Few distinct instants, so simultaneous events (and their tie order)
 #: are the common case; 0.1 + 0.2 exercises call_at's float round trip.
@@ -25,6 +33,7 @@ SCENARIO = st.fixed_dictionaries({
     "interrupts": st.lists(st.tuples(st.integers(0, 3), TIMES),
                            max_size=3),
     "failures": st.lists(st.tuples(TIMES, st.booleans()), max_size=3),
+    "parks": st.lists(st.tuples(TIMES, TIMES), max_size=3),
     "stop_at": st.one_of(st.none(), TIMES),
 })
 
@@ -100,6 +109,23 @@ def build(sim, log, spec):
             ev.defuse()
         ev.fail(RuntimeError(f"f{i}"), delay=delay)
 
+    # The LVRM/VRI idle park: a process waits on a plain event that the
+    # first of two wake calls succeeds; the second finds it triggered.
+    def parker(i, ev):
+        got = yield ev
+        note(f"park{i}:{got}")
+
+    for i, (t_wake, t_again) in enumerate(spec["parks"]):
+        ev = sim.event()
+        sim.process(parker(i, ev))
+
+        def wake(ev=ev, i=i):
+            if not ev.triggered:
+                ev.succeed(i)
+
+        sim.call_at(t_wake, wake)
+        sim.call_at(t_again, wake)
+
     if spec["stop_at"] is not None:
         sim.call_at(spec["stop_at"], lambda: sim.stop("stopped"))
 
@@ -131,21 +157,85 @@ def test_run_and_step_process_events_identically(spec):
     assert by_run == drive_step(spec)
 
 
+#: Each fast path as ``(function, a line only that path runs)``.
+FAST_PATHS = {
+    "run: pooled timeout recycled": (
+        engine.Simulator.run, "callbacks.clear()"),
+    "step: pooled timeout recycled": (
+        engine._PooledTimeout._process, "callbacks.clear()"),
+    "run: call_at event inlined": (
+        engine.Simulator.run, "arg = event.arg"),
+    "run: plain event inlined": (
+        engine.Simulator.run, "if not event._ok and not event._defused:"),
+    "sleep: recycled event reused": (
+        engine.Simulator.sleep, "ev = pool.pop()"),
+    "succeed: direct heap push": (
+        engine.Event.succeed, "_heappush(sim._heap,"),
+    "resume: failed event thrown in": (
+        process.Process._resume, "target = self._throw(event._value)"),
+    "resume: wait re-armed": (
+        process.Process._resume, "callbacks.append(self._resume_cb)"),
+    "resume: processed target resumed at once": (
+        process.Process._resume, "self._resume(target)"),
+}
+
+
+def _line_of(fn, marker):
+    """(code object, line number) of the one line of ``fn`` holding
+    ``marker``."""
+    lines, first = inspect.getsourcelines(fn)
+    hits = [i for i, line in enumerate(lines) if marker in line]
+    assert len(hits) == 1, f"{marker!r} is not unique in {fn.__qualname__}"
+    return fn.__code__, first + hits[0]
+
+
+def _executed_lines(drive, spec):
+    """Run ``drive(spec)`` and collect ``(code, line)`` of every line run
+    in the engine and process modules."""
+    files = {engine.__file__, process.__file__}
+    seen = set()
+
+    def tracer(frame, event, _arg):
+        if frame.f_code.co_filename not in files:
+            return None
+
+        def local(frame, event, _arg):
+            if event == "line":
+                seen.add((frame.f_code, frame.f_lineno))
+            return local
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = drive(spec)
+    finally:
+        sys.settrace(previous)
+    return result, seen
+
+
 def test_scenario_exercises_every_fast_path():
     """Not vacuous: one fixed scenario hits pooled timeouts, both call
-    forms, an added callback, an interrupt, a join, a defused failure
-    and the stop."""
-    spec = {"sleepers": [[0.1, 0.25], [0.5]], "timeouts": [0.25],
+    forms, an added callback, an interrupt, a join, a defused failure,
+    a park woken twice and the stop — and every path in FAST_PATHS."""
+    spec = {"sleepers": [[0.1, 0.25, 0.1], [0.5]], "timeouts": [0.25],
             "calls": [(0.25, True, True, True), (0.25, False, False, True)],
             "joins": [0.1], "interrupts": [(1, 0.25)],
-            "failures": [(0.1, True), (0.1, False)], "stop_at": 0.75}
-    log, result, now, events = drive_run(spec)
+            "failures": [(0.1, True), (0.1, False)],
+            "parks": [(0.25, 0.1 + 0.2)], "stop_at": 0.75}
+    (log, result, now, events), by_run = _executed_lines(drive_run, spec)
     labels = [label for _t, label in log]
     assert result == "stopped" and now == 0.75
     for expected in ("sleeper0.woke0", "call0(0)", "call0.callback",
                      "call1", "call1.callback", "sleeper1.interrupted:poke",
-                     "parent0:0", "failure0:f0", "timeout0.again:0"):
+                     "parent0:0", "failure0:f0", "timeout0.again:0",
+                     "park0:0"):
         assert expected in labels
     # Urgent call0 runs before the normal-priority events at t=0.25.
     assert labels.index("call0(0)") < labels.index("sleeper0.woke1")
-    assert (log, result, now, events) == drive_step(spec)
+    stepped, by_step = _executed_lines(drive_step, spec)
+    assert (log, result, now, events) == stepped
+    executed = by_run | by_step
+    missed = [name for name, (fn, marker) in FAST_PATHS.items()
+              if _line_of(fn, marker) not in executed]
+    assert not missed, f"fast paths never reached: {missed}"
