@@ -44,14 +44,19 @@ class LoadBalancer:
     def pick(self, frame: Frame, vris: Sequence[VriLike], now: float) -> VriLike:
         if not vris:
             raise ConfigError("cannot balance across zero VRIs")
-        choice = self._pick(frame, vris, now)
+        choice = self.choose(frame, vris, now)
         if _TRACE.enabled:
             _TRACE.instant("balance.decision", ts=now, cat="balance",
                            track="lvrm", scheme=self.name,
                            vri=choice.vri_id, n_vris=len(vris))
         return choice
 
-    def _pick(self, frame: Frame, vris: Sequence[VriLike], now: float) -> VriLike:
+    def choose(self, frame: Optional[Frame], vris: Sequence[VriLike],
+               now: float) -> VriLike:
+        """The decision alone, over a non-empty ``vris``: no empty check
+        and no ``balance.decision`` trace event.  The runtime monitor
+        calls it once per burst (``frame`` None); :meth:`pick` wraps it
+        per frame for the DES."""
         raise NotImplementedError
 
     def decision_cost(self, costs: CostModel, n_vris: int) -> float:
@@ -74,7 +79,8 @@ class JoinShortestQueue(LoadBalancer):
 
     name = "jsq"
 
-    def _pick(self, frame: Frame, vris: Sequence[VriLike], now: float) -> VriLike:
+    def choose(self, frame: Optional[Frame], vris: Sequence[VriLike],
+               now: float) -> VriLike:
         # First lowest estimate wins; no ``vris[1:]`` copy per frame.
         best = None
         best_load = 0.0
@@ -96,7 +102,8 @@ class RoundRobin(LoadBalancer):
     def __init__(self) -> None:
         self._counter = 0
 
-    def _pick(self, frame: Frame, vris: Sequence[VriLike], now: float) -> VriLike:
+    def choose(self, frame: Optional[Frame], vris: Sequence[VriLike],
+               now: float) -> VriLike:
         vri = vris[self._counter % len(vris)]
         self._counter += 1
         return vri

@@ -34,24 +34,25 @@ from repro.errors import ConfigError
 __all__ = ["WaitPolicy", "AimdBatcher"]
 
 
+#: The idle schedule: this many ``time.sleep(0)`` naps, then sleeps from
+#: ``_MIN_SLEEP`` doubling per idle round up to ``_MAX_SLEEP`` seconds.
+_SPIN_ROUNDS = 64
+_MIN_SLEEP = 20e-6
+_MAX_SLEEP = 200e-6
+
+
 class WaitPolicy:
     """Idle-wait behaviour for an empty-ring poll loop.
 
     Call :meth:`idle` each time a poll finds nothing, and :meth:`reset`
-    as soon as work arrives.  The first ``spin_rounds`` idles are
-    ``time.sleep(0)`` naps (see the module docstring: not yields), then
-    sleeps grow from ``min_sleep`` by 2x per idle round up to
-    ``max_sleep``.
+    as soon as work arrives.  The first 64 idles are ``time.sleep(0)``
+    naps (see the module docstring: not yields), then sleeps grow from
+    20 µs by 2x per idle round up to 200 µs.
     """
 
-    __slots__ = ("spin_rounds", "min_sleep", "max_sleep",
-                 "_idle_rounds", "sleeps")
+    __slots__ = ("_idle_rounds", "sleeps")
 
-    def __init__(self, *, spin_rounds: int = 64,
-                 min_sleep: float = 20e-6, max_sleep: float = 200e-6):
-        self.spin_rounds = spin_rounds
-        self.min_sleep = min_sleep
-        self.max_sleep = max_sleep
+    def __init__(self) -> None:
         self._idle_rounds = 0
         #: Count of actual ``time.sleep(dt > 0)`` calls (wait_sleeps_total).
         self.sleeps = 0
@@ -64,12 +65,12 @@ class WaitPolicy:
         """One empty poll: nap, or sleep once the naps are used up."""
         rounds = self._idle_rounds
         self._idle_rounds = rounds + 1
-        if rounds < self.spin_rounds:
+        if rounds < _SPIN_ROUNDS:
             time.sleep(0)
             return
-        dt = self.min_sleep * (1 << min(rounds - self.spin_rounds, 16))
-        if dt > self.max_sleep:
-            dt = self.max_sleep
+        dt = _MIN_SLEEP * (1 << min(rounds - _SPIN_ROUNDS, 16))
+        if dt > _MAX_SLEEP:
+            dt = _MAX_SLEEP
         self.sleeps += 1
         time.sleep(dt)
 

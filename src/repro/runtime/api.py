@@ -15,6 +15,8 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.estimation import ServiceRateEstimator
 from repro.ipc.messages import ControlEvent, KIND_SERVICE_RATE, decode_event, encode_event
 from repro.ipc.ring import SpscRing
@@ -63,8 +65,18 @@ class VriSideApi:
     def from_lvrm(self) -> Optional[bytes]:
         """Next raw frame from LVRM, or None (non-blocking poll)."""
         record = self.data_in.try_pop()
-        if record is None:
-            return None
+        if record is not None:
+            self._popped()
+        return record
+
+    def to_lvrm(self, out_iface: int, frame: bytes) -> bool:
+        """Hand a forwarded frame back; False when the ring is full."""
+        return self.push_records([self.pack_output(out_iface, frame)]) == 1
+
+    def _popped(self) -> None:
+        """Count one frame popped on the per-frame path; with the
+        estimator armed, feed it the gap since the previous pop and
+        report the rate upstream every ``report_every`` frames."""
         now = time.perf_counter()
         if self._estimator is not None and self._last_from is not None:
             gap = now - self._last_from
@@ -74,24 +86,18 @@ class VriSideApi:
                 self._report_rate()
         self._last_from = now
         self.frames_in += 1
-        return record
-
-    def to_lvrm(self, out_iface: int, frame: bytes) -> bool:
-        """Hand a forwarded frame back; False when the ring is full."""
-        if not 0 <= out_iface <= 0xFFFF:
-            raise ValueError(f"out_iface out of range: {out_iface}")
-        ok = self.data_out.try_push(_OUT_HEADER.pack(out_iface) + bytes(frame))
-        if ok:
-            self.frames_out += 1
-        return ok
 
     # -- batched variants ---------------------------------------------------
-    def from_lvrm_many(self, max_frames: int = 64) -> List[bytes]:
-        """Up to ``max_frames`` raw frames in one ring transaction.
+    def from_lvrm_many_into(self, max_frames: int = 64) -> List[bytes]:
+        """Up to ``max_frames`` raw frames in one ring transaction, as
+        *borrowed* memoryviews into the ring slots — no copy.  The views
+        die at :meth:`release_input`, which the caller must invoke after
+        decoding (and before the next poll would overrun the ring).
 
-        With the service-rate estimator enabled this falls back to the
-        scalar path: the estimator's signal *is* the per-frame
+        With the service-rate estimator enabled this degrades to owned
+        per-frame pops: the estimator's signal *is* the per-frame
         completion gap, which a batch pop would destroy.
+        :meth:`release_input` is then a no-op, so callers need no branch.
         """
         if self._estimator is not None:
             out: List[bytes] = []
@@ -101,22 +107,6 @@ class VriSideApi:
                     break
                 out.append(record)
             return out
-        frames = self.data_in.try_pop_many(max_frames)
-        self.frames_in += len(frames)
-        return frames
-
-    def from_lvrm_many_into(self, max_frames: int = 64) -> List[bytes]:
-        """Like :meth:`from_lvrm_many` but the returned frames are
-        *borrowed* memoryviews into the ring slots — no copy.  The views
-        die at :meth:`release_input`, which the caller must invoke after
-        decoding (and before the next poll would overrun the ring).
-
-        With the service-rate estimator enabled this degrades to the
-        owned-copy scalar path (same reason as :meth:`from_lvrm_many`);
-        :meth:`release_input` is then a no-op, so callers need no branch.
-        """
-        if self._estimator is not None:
-            return self.from_lvrm_many(max_frames)
         frames = self.data_in.try_pop_many_into(max_frames)
         self.frames_in += len(frames)
         return frames
@@ -126,63 +116,22 @@ class VriSideApi:
         self.data_in.release_popped()
 
     # -- descriptor (arena) variants ----------------------------------------
-    def from_lvrm_descs(self, max_frames: int = 64,
-                        ) -> List[Tuple[int, int, int, int, int]]:
-        """Up to ``max_frames`` frame descriptors (arena mode): tuples of
-        ``(offset, length, iface, flags, stamp)``; frame bytes stay in
-        the shared arena (``self.arena.view(offset, length)``).
-
-        With the service-rate estimator enabled, descriptors pop one at
-        a time so the per-frame completion gap — the estimator's signal
-        — survives.
-        """
-        if self._estimator is not None:
-            out: List[Tuple[int, int, int, int, int]] = []
-            while len(out) < max_frames:
-                descs = self.data_in.try_pop_desc_many(1)
-                if not descs:
-                    break
-                now = time.perf_counter()
-                if self._last_from is not None:
-                    gap = now - self._last_from
-                    if gap > 0:
-                        self._estimator.observe_service(gap)
-                    if self.frames_in % self._report_every == 0:
-                        self._report_rate()
-                self._last_from = now
-                self.frames_in += 1
-                out.extend(descs)
-            return out
-        descs = self.data_in.try_pop_desc_many(max_frames)
-        self.frames_in += len(descs)
-        return descs
-
-    def to_lvrm_descs(self, descs: Sequence[Tuple[int, int, int, int, int]]
-                      ) -> int:
-        """Hand back routed descriptors (``iface`` field filled in) with
-        one publication; returns how many the ring accepted."""
-        pushed = self.data_out.try_push_desc_many(descs)
-        if pushed:
-            self.frames_out += pushed
-        return pushed
-
     def from_lvrm_desc_block(self, max_frames: int = 64):
-        """Bulk sibling of :meth:`from_lvrm_descs`: up to ``max_frames``
-        descriptors as an ``(n, 3)`` u64 block (``None`` when empty; see
-        :func:`repro.ipc.desc.desc_block_rows` for the layout).  The
-        service-rate estimator keeps the tuple-at-a-time path — its
-        signal is the per-frame completion gap."""
+        """Up to ``max_frames`` frame descriptors as an ``(n, 3)`` u64
+        block (``None`` when empty; see
+        :func:`repro.ipc.desc.desc_block_rows` for the layout); the frame
+        bytes stay in the shared arena.  With the service-rate estimator
+        enabled, descriptors pop one at a time so the per-frame
+        completion gap — the estimator's signal — survives."""
         if self._estimator is not None:
-            descs = self.from_lvrm_descs(max_frames)
-            if not descs:
-                return None
-            from repro.ipc.desc import pack_desc_block
-            block = pack_desc_block([d[0] for d in descs],
-                                    [d[1] for d in descs])
-            for i, d in enumerate(descs):
-                block[i, 1] |= (d[2] & 0xFFFF) << 32 | (d[3] & 0xFFFF) << 48
-                block[i, 2] = d[4]
-            return block
+            rows = []
+            while len(rows) < max_frames:
+                row = self.data_in.try_pop_desc_block(1)
+                if row is None:
+                    break
+                self._popped()
+                rows.append(row)
+            return np.concatenate(rows) if rows else None
         block = self.data_in.try_pop_desc_block(max_frames)
         if block is not None:
             self.frames_in += len(block)
@@ -200,22 +149,6 @@ class VriSideApi:
         """Release an arena chunk this VRI consumed but will not forward
         (no-route drop, overflow) back to the owner."""
         self.arena.free(offset, self.arena_reclaim)
-
-    def to_lvrm_many(self, routed: Sequence[Tuple[int, bytes]]) -> int:
-        """Hand back many (out_iface, frame) pairs with one publication.
-
-        Returns how many were accepted (the ring may fill mid-batch).
-        """
-        pack = _OUT_HEADER.pack
-        records = []
-        for out_iface, frame in routed:
-            if not 0 <= out_iface <= 0xFFFF:
-                raise ValueError(f"out_iface out of range: {out_iface}")
-            records.append(pack(out_iface) + bytes(frame))
-        pushed = self.data_out.try_push_many(records)
-        if pushed:
-            self.frames_out += pushed
-        return pushed
 
     @staticmethod
     def pack_output(out_iface: int, frame) -> bytes:

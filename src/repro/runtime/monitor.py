@@ -18,6 +18,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.balancing import make_balancer
 from repro.core.vr import DEFAULT_MAP_LINES
 from repro.dispatch.stage import DispatchPipeline
 from repro.errors import (ArenaError, ConfigError, KernelError,
@@ -31,7 +32,7 @@ from repro.ipc.messages import (ControlEvent, KIND_HEARTBEAT,
                                 StatsAssembler, decode_event, encode_event)
 from repro.ipc.ring import SpscRing, ring_bytes_needed
 from repro.ipc.shm import SharedSegment
-from repro.ipc.wait import AimdBatcher, WaitPolicy
+from repro.ipc.wait import WaitPolicy
 from repro.obs.admin import AdminServer, AdminState
 from repro.obs.recorder import FlightRecorder
 from repro.obs.registry import Gauge, default_registry
@@ -75,13 +76,19 @@ class RuntimeVriHandle:
     def rings(self) -> Tuple[SpscRing, ...]:
         return (self.data_in, self.data_out, self.ctrl_in, self.ctrl_out)
 
+    def load_estimate(self) -> int:
+        """The balancers' load signal (``core.balancing.VriLike``): the
+        worker's incoming data-ring depth."""
+        return len(self.data_in)
 
-class RuntimeLvrm(DispatchPipeline):
+
+class RuntimeLvrm:
     """Spawn, feed, drain, and stop real VRI workers.
 
-    The RX→classify→admit→steer pipeline itself lives in
-    :class:`~repro.dispatch.stage.DispatchPipeline`; this class owns the
-    workers, their rings and the control plane.
+    The RX→classify→admit→steer pipeline itself is a
+    :class:`~repro.dispatch.stage.DispatchPipeline` this monitor holds
+    (:attr:`pipeline`); this class owns the workers, their rings and the
+    control plane.
     """
 
     #: Every worker ring is Lamport's SPSC ring (:class:`SpscRing`), the
@@ -171,8 +178,8 @@ class RuntimeLvrm(DispatchPipeline):
         #: Lost/out-of-order sequence detection, one counter family with
         #: a ``plane`` label: ``ctrl`` (control-event seq stamps),
         #: ``stats`` (telemetry snapshot generations), ``spans`` (probe
-        #: records whose stamp block failed to decode).  Counted, never
-        #: silently skipped.
+        #: records whose stamp block failed to decode; the pipeline's
+        #: drain counts those).  Counted, never silently skipped.
         registry = default_registry()
         self._c_seq_gap_ctrl = registry.counter(
             "trace_seq_gap_total",
@@ -182,10 +189,6 @@ class RuntimeLvrm(DispatchPipeline):
             "trace_seq_gap_total",
             "lost or out-of-order sequenced records, by plane",
             rt=self.obs_id, plane="stats")
-        self._c_seq_gap_spans = registry.counter(
-            "trace_seq_gap_total",
-            "lost or out-of-order sequenced records, by plane",
-            rt=self.obs_id, plane="spans")
         self._stats_assembler.gap_hook = self._c_seq_gap_stats.inc
         # vri_id -> last control seq stamp absorbed (reset on respawn:
         # a fresh worker restarts its stamp counter at 1).
@@ -195,15 +198,6 @@ class RuntimeLvrm(DispatchPipeline):
         #: Arena chunks freed by :meth:`_reclaim_stranded` at failovers
         #: (summed into replay summaries; 0 on the copy plane).
         self.stranded_reclaimed = 0
-        # Record mode: scalar dispatches coalesce their ring.push trace
-        # events here (vri_id -> records) instead of paying a Tracer
-        # emit per frame; flushed by :meth:`flush_trace` before any
-        # event whose replay semantics observe ring occupancy.
-        self._push_pending: Dict[int, int] = {}
-        self._c_dispatched = default_registry().counter(
-            "lvrm_dispatched_total",
-            "frames the monitor balanced onto a worker ring",
-            rt=self.obs_id)
         self._c_merged = default_registry().counter(
             "telemetry_snapshots_merged_total",
             "worker registry snapshots merged into the cluster view",
@@ -246,38 +240,15 @@ class RuntimeLvrm(DispatchPipeline):
                                     chunks_per_class=cpc,
                                     n_reclaim=self._arena_n_reclaim)
             self._arena_prod = self.arena.producer()
-            registry = default_registry()
             self._g_arena_inuse = registry.gauge(
                 "arena_inuse_bytes",
                 "bytes of live frame chunks in the shared arena",
                 rt=self.obs_id)
             self._g_arena_inuse.set_fn(self.arena.inuse_bytes)
-            self._c_arena_alloc = registry.counter(
-                "arena_alloc_total", "arena chunk allocations served",
-                rt=self.obs_id)
-            self._c_arena_exhausted = registry.counter(
-                "arena_exhausted_total",
-                "dispatch attempts refused because the arena ran dry",
-                rt=self.obs_id)
-        self._h_batch = default_registry().histogram(
-            "ring_batch_size", "records moved per ring transaction",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-            rt=self.obs_id, side="dispatch")
-        self._h_batch_drain = default_registry().histogram(
-            "ring_batch_size", "records moved per ring transaction",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-            rt=self.obs_id, side="drain")
         self._c_wait_sleeps = default_registry().counter(
             "wait_sleeps_total",
             "idle sleeps taken by the monitor's drain wait policy",
             rt=self.obs_id)
-        #: Drain-side adaptive burst: bounds how many records one ring
-        #: transaction moves, growing under load so the shared-index
-        #: synchronization amortizes, decaying when idle.  The ceiling
-        #: scales with ring depth (256 at the default 1024) so deep
-        #: rings keep amortizing instead of capping at 256.
-        self._drain_batcher = AimdBatcher(
-            hi=max(256, min(1024, ring_capacity // 8)))
         self._wait = WaitPolicy()
         self._wait_sleeps_seen = 0
         # fork avoids re-importing __main__ (which breaks REPL/stdin use)
@@ -287,8 +258,12 @@ class RuntimeLvrm(DispatchPipeline):
             self._ctx = mp.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX hosts
             self._ctx = mp.get_context("spawn")
-        self._rr = 0
+        #: The live workers, edited in place (the pipeline holds this
+        #: very list).
         self.vris: List[RuntimeVriHandle] = []
+        self.pipeline = DispatchPipeline(
+            self.vris, make_balancer(balancer), ring_capacity,
+            self.overload, self.spans, self._arena_prod, self.obs_id)
         available = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
         try:
             for i in range(n_vris):
@@ -305,16 +280,11 @@ class RuntimeLvrm(DispatchPipeline):
                     vri.process.kill()
                     vri.process.join(1.0)
                 self._release(vri)
-            self.vris = []
+            self.vris.clear()
             self._release_arena()
             raise
 
     # -- lifecycle ------------------------------------------------------------------
-    @staticmethod
-    def _make_ring(capacity: int, slot: int):
-        segment = SharedSegment.create(ring_bytes_needed(capacity, slot))
-        return segment, SpscRing(segment.buf, capacity, slot, create=True)
-
     def _spawn(self, vri_id: int, core_id: Optional[int]) -> RuntimeVriHandle:
         segs, rings = [], []
         arena_mode = self.data_plane == "arena"
@@ -323,9 +293,11 @@ class RuntimeLvrm(DispatchPipeline):
         data_slot = DESC_SLOT if arena_mode else _DATA_SLOT
         try:
             for slot in (data_slot, data_slot, _CTRL_SLOT, _CTRL_SLOT):
-                segment, ring = self._make_ring(self.ring_capacity, slot)
+                segment = SharedSegment.create(
+                    ring_bytes_needed(self.ring_capacity, slot))
                 segs.append(segment)
-                rings.append(ring)
+                rings.append(SpscRing(segment.buf, self.ring_capacity, slot,
+                                      create=True))
             args = WorkerArgs(
                 vri_id=vri_id, core_id=core_id,
                 data_in=segs[0].name, data_out=segs[1].name,
@@ -454,18 +426,13 @@ class RuntimeLvrm(DispatchPipeline):
         if freed:
             self.stranded_reclaimed += freed
             if _TRACE.enabled:
-                self.flush_trace()
+                self.pipeline.flush_trace()
                 _TRACE.instant("arena.reclaim", ts=time.monotonic(),
                                cat="replay", track="lvrm",
                                vri=vri.vri_id, n=freed)
         # Chunks freed by workers through their reclaim rings come home
         # here too, so a retired worker leaves no pending frees behind.
-        self._drain_reclaim()
-
-    def _drain_reclaim(self) -> None:
-        """Fold worker-freed chunks back into the owner's free lists."""
-        if self._arena_prod is not None:
-            self._arena_prod._refill()
+        self._arena_prod._refill()
 
     def _release_arena(self) -> None:
         if self.arena is not None:
@@ -508,7 +475,7 @@ class RuntimeLvrm(DispatchPipeline):
                                    vri=vri.vri_id)
         for vri in self.vris:
             self._retire(vri, "stop")
-        self.vris = []
+        self.vris.clear()
         self._release_arena()
         self.stop_admin()
 
@@ -517,6 +484,56 @@ class RuntimeLvrm(DispatchPipeline):
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    # -- data plane ------------------------------------------------------------------
+    def dispatch(self, frame: bytes) -> bool:
+        """Balance one raw frame to a worker — a burst of one; False
+        when it was refused (shed, arena dry or ring full)."""
+        return self.pipeline.dispatch_many([frame]) == 1
+
+    def dispatch_many(self, frames: List[bytes]) -> int:
+        """Balance a burst (one pick per burst); returns how many frames
+        were accepted."""
+        return self.pipeline.dispatch_many(frames)
+
+    def drain(self) -> List[Tuple[int, int, bytes]]:
+        """Collect all available outputs: ``(vri_id, out_iface, frame)``."""
+        return self.pipeline.drain()
+
+    def occupancies(self) -> Dict[int, float]:
+        """Per-VRI data-ring fill fractions (surfaced on ``/overload``)."""
+        return self.pipeline.occupancies()
+
+    def flush_trace(self) -> None:
+        """Emit the coalesced ``ring.push`` trace events (record mode)."""
+        self.pipeline.flush_trace()
+
+    def drain_until(self, n_expected: int, timeout: float = 10.0
+                    ) -> List[Tuple[int, int, bytes]]:
+        """Drain until ``n_expected`` outputs arrive or timeout expires.
+
+        Idle passes pump the control plane and then wait by the data
+        plane's one :class:`~repro.ipc.wait.WaitPolicy` schedule; actual
+        sleeps feed ``wait_sleeps_total``.  ``drain`` and
+        ``pump_control`` are looked up on the instance on every pass, so
+        wrappers set there see each call.
+        """
+        collected: List[Tuple[int, int, bytes]] = []
+        deadline = time.monotonic() + timeout
+        policy = self._wait
+        while len(collected) < n_expected and time.monotonic() < deadline:
+            batch = self.drain()
+            if batch:
+                collected.extend(batch)
+                policy.reset()
+            else:
+                self.pump_control()
+                policy.idle()
+        taken = policy.sleeps - self._wait_sleeps_seen
+        if taken:
+            self._c_wait_sleeps.inc(taken)
+            self._wait_sleeps_seen = policy.sleeps
+        return collected
 
     # -- health ------------------------------------------------------------------------
     def dead_workers(self) -> List[RuntimeVriHandle]:
@@ -528,17 +545,21 @@ class RuntimeLvrm(DispatchPipeline):
 
         The thesis' monitor owns the instances; a crashed VRI is just a
         destroy-then-create.  Frames stranded in a dead worker's rings
-        are lost, exactly like the DES `destroy_vri` drain.
+        are lost, exactly like the DES `destroy_vri` drain.  The dead
+        handle leaves :attr:`vris` before its replacement is spawned, so
+        a spawn that raises leaves the pool one worker short, never
+        holding a closed handle.
         """
         replaced = 0
         for idx, vri in enumerate(list(self.vris)):
             if vri.process.is_alive():
                 continue
             vri.process.join(0.1)
+            del self.vris[idx]
             self._retire(vri, "respawn")
-            self.vris[idx] = self._spawn(vri.vri_id, vri.core_id)
+            self.vris.insert(idx, self._spawn(vri.vri_id, vri.core_id))
+            self.respawned += 1
             replaced += 1
-        self.respawned += replaced
         return replaced
 
     def remove_worker(self, vri: RuntimeVriHandle,

@@ -7,10 +7,10 @@ Runs inside a child OS process spawned by
    the host exposes that core;
 2. attaches to its four shared-memory rings by name (the identifiers
    arrive in the worker's arguments, like the thesis' ``shmget()`` ids);
-3. loops with control-before-data priority: control events first, then
-   one data frame — parse Ethernet/IPv4 with the real codecs, LPM-route
-   the destination, echo the frame back on the outgoing ring tagged with
-   the chosen interface;
+3. loops over :meth:`WorkerLoop.step` with control-before-data
+   priority: a control event first, else one adaptive burst of data
+   frames routed by the burst kernel and echoed back on the outgoing
+   ring tagged with the chosen interface;
 4. exits on a STOP control event (the cooperative sibling of the
    monitor's ``kill()`` hard path, which the monitor also implements).
 """
@@ -38,7 +38,7 @@ from repro.obs.spans import PROBE_MAGIC_BYTES, decode_in_probe, encode_out_probe
 from repro.routing.mapfile import parse_map_lines
 from repro.runtime.api import VriSideApi
 
-__all__ = ["WorkerArgs", "vri_worker_main"]
+__all__ = ["WorkerArgs", "WorkerLoop", "STOPPED", "vri_worker_main"]
 
 #: Data-burst AIMD bounds: bursts grow toward ``_BURST_HI`` under load
 #: (amortizing ring synchronization) and decay to ``_BURST_LO`` when
@@ -113,8 +113,183 @@ def _pin(core_id: Optional[int]) -> None:
         pass
 
 
+#: What :meth:`WorkerLoop.step` returns once a STOP control event arrived.
+STOPPED = -1
+
+#: The worker-local counter families, in registration order: the key
+#: :attr:`WorkerLoop.counters` holds each under, its name, its help.
+_COUNTERS = (
+    ("frames", "vri_frames_total",
+     "frames the VRI popped from its incoming ring"),
+    ("forwarded", "vri_forwarded_total",
+     "frames the VRI routed and handed back"),
+    ("no_route", "vri_dropped_no_route_total",
+     "frames dropped because LPM found no route"),
+    ("stats_sent", "vri_stats_snapshots_total",
+     "registry snapshots shipped upstream"),
+    ("stats_abandoned", "vri_stats_abandoned_total",
+     "snapshots abandoned mid-send because the control ring filled"),
+    ("overflow", "vri_dropped_overflow_total",
+     "routed frames dropped because the outgoing ring was full"),
+    ("wait_sleeps", "wait_sleeps_total",
+     "idle sleeps taken by the worker's wait policy"),
+    ("lpm_hits", "lpm_cache_hit_total",
+     "cached-LPM lookups answered from the route table's result cache"),
+    ("lpm_misses", "lpm_cache_miss_total",
+     "cached-LPM lookups that had to walk the trie"),
+)
+
+
+class WorkerLoop:
+    """One worker's state and its loop body, :meth:`step`.
+
+    The constructor attaches to the four rings (and the arena) by name,
+    builds the burst kernel and the worker-local registry, and arms the
+    heartbeat and stats timers.  :func:`vri_worker_main` is a loop
+    around :meth:`step`; a test can build one in-process over rings it
+    owns and drive it step by step.
+    """
+
+    def __init__(self, args: WorkerArgs, recorder: FlightRecorder) -> None:
+        self.args = args
+        self.recorder = recorder
+        self.routes, _arp = parse_map_lines(args.map_lines)
+        # The burst hot path lives behind the swappable kernel interface;
+        # the scalar kernel keeps the memoized per-frame reference path.
+        kernel = make_kernel(args.kernel, self.routes,
+                             rewrite_ttl=args.kernel_rewrite)
+        recorder.note("worker.kernel", ts=time.monotonic(), vri=args.vri_id,
+                      kind=kernel.describe())
+        self.api = api = VriSideApi(
+            args.vri_id, args.data_in, args.data_out, args.ctrl_in,
+            args.ctrl_out, report_service_rate=args.report_service_rate,
+            report_every=64, arena_name=args.arena,
+            arena_reclaim=args.arena_reclaim)
+        # Worker-local telemetry: a *fresh* registry (never the process-wide
+        # default — a forked child would inherit the monitor's instruments),
+        # using the same family names as the DES VriRuntime so the merged
+        # cluster view and a DES run expose identical metric names.
+        self.registry = registry = Registry()
+        vri_label = str(args.vri_id)
+        self.counters = c = {key: registry.counter(name, doc, vri=vri_label)
+                             for key, name, doc in _COUNTERS}
+        self._h_batch = registry.histogram(
+            "ring_batch_size", "records moved per ring transaction",
+            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
+            vri=vri_label, side="worker")
+        self._policy = WaitPolicy()
+        self._sleeps_seen = 0
+        self._lpm_hits_seen = self._lpm_misses_seen = 0
+        # Burst ceiling scales with ring depth (256 at the default 1024):
+        # deeper rings exist to amortize hand-offs further, so the batcher
+        # must be allowed to follow them up.
+        self._batcher = AimdBatcher(
+            _BURST_LO, max(_BURST_HI, min(1024, api.data_in.capacity // 8)))
+        # One data burst on this worker's plane, counters bound once.
+        probe_frames = args.probe_frames
+        if api.arena is not None:
+            def serve(burst: int) -> int:
+                return _serve_arena(api, kernel, burst, c["frames"],
+                                    c["forwarded"], c["no_route"],
+                                    c["overflow"], probe_frames=probe_frames)
+        else:
+            def serve(burst: int) -> int:
+                return _serve_copy(api, kernel, burst, c["frames"],
+                                   c["forwarded"], c["no_route"],
+                                   probe_frames=probe_frames)
+        self._serve = serve
+        self._stats_gen = 0
+        # Largest KIND_STATS payload one control slot carries.
+        self._stats_budget = (api.ctrl_out.max_record
+                              - ControlEvent(KIND_STATS, args.vri_id, 0).size)
+        now = time.monotonic()
+        self._next_heartbeat = (now + args.heartbeat_interval
+                                if args.heartbeat_interval > 0
+                                else float("inf"))
+        self._next_stats = (now + args.stats_interval
+                            if args.stats_interval > 0 else float("inf"))
+
+    def step(self) -> int:
+        """One pass, control before data: due heartbeat and stats, then
+        either one control event or one adaptive data burst.
+
+        Returns the frames served (0 on an idle or control pass), or
+        :data:`STOPPED` once a STOP event arrived.
+        """
+        now = time.monotonic()
+        if now >= self._next_heartbeat:
+            # Liveness beacon to the monitor (dst 0 = LVRM).
+            self.api.send_control(ControlEvent(
+                KIND_HEARTBEAT, self.args.vri_id, 0, struct.pack("<d", now)))
+            self._next_heartbeat = now + self.args.heartbeat_interval
+        if now >= self._next_stats:
+            self._send_stats(now)
+        event = self.api.recv_control()
+        if event is not None:
+            return self._on_control(event)
+        # Control stayed first; now drain an adaptive burst of data
+        # frames in one ring transaction each way.
+        batcher = self._batcher
+        got = self._serve(batcher.size)
+        batcher.update(got)
+        policy = self._policy
+        if got:
+            self._h_batch.observe(got)
+            policy.reset()
+            return got
+        policy.idle()
+        if policy.sleeps != self._sleeps_seen:
+            self.counters["wait_sleeps"].inc(policy.sleeps - self._sleeps_seen)
+            self._sleeps_seen = policy.sleeps
+        return 0
+
+    def _send_stats(self, now: float) -> None:
+        """Ship a registry snapshot chunk by chunk, abandoning it on the
+        first full control slot.  Telemetry rides strictly behind the
+        heartbeat, which :meth:`step` pushes first when both are due."""
+        # Sync the LPM cache counters by delta first — the table keeps
+        # bare attributes so the hot path never touches an instrument
+        # (same trick as wait sleeps).
+        hits = getattr(self.routes, "cache_hits", 0)
+        misses = getattr(self.routes, "cache_misses", 0)
+        self.counters["lpm_hits"].inc(hits - self._lpm_hits_seen)
+        self.counters["lpm_misses"].inc(misses - self._lpm_misses_seen)
+        self._lpm_hits_seen, self._lpm_misses_seen = hits, misses
+        self._stats_gen += 1
+        vri_id = self.args.vri_id
+        for chunk in encode_stats_chunks(self.registry.snapshot(),
+                                         self._stats_gen, self._stats_budget):
+            if not self.api.send_control(ControlEvent(
+                    KIND_STATS, vri_id, 0, chunk)):
+                self.counters["stats_abandoned"].inc()
+                break
+        else:
+            self.counters["stats_sent"].inc()
+        self._next_stats = now + self.args.stats_interval
+
+    def _on_control(self, event: ControlEvent) -> int:
+        vri_id = self.args.vri_id
+        self.recorder.note("worker.ctrl", ts=time.monotonic(), vri=vri_id,
+                           kind=event.kind, src=event.src_vri)
+        if event.kind == KIND_STOP:
+            return STOPPED
+        if event.kind == KIND_RESTART:
+            # Informational: which restart attempt we are.
+            (attempt,) = struct.unpack("<I", event.payload)
+            self.recorder.note("worker.restarted", ts=time.monotonic(),
+                               vri=vri_id, attempt=attempt)
+        elif event.kind == KIND_PING:
+            # Bounce pings back to the requested VRI through LVRM.
+            self.api.send_control(ControlEvent(
+                KIND_PING, vri_id, event.src_vri, event.payload))
+        return 0
+
+    def close(self) -> None:
+        self.api.close()
+
+
 def vri_worker_main(args: WorkerArgs) -> None:
-    """Child-process main loop.
+    """Child-process main: a loop around :meth:`WorkerLoop.step`.
 
     Keeps a local flight recorder of lifecycle and control events (never
     per-frame).  If anything escapes the loop, the recorder dumps the
@@ -125,156 +300,18 @@ def vri_worker_main(args: WorkerArgs) -> None:
     recorder.note("worker.start", ts=time.monotonic(), vri=args.vri_id,
                   core=args.core_id, pid=os.getpid())
     _pin(args.core_id)
-    routes, _arp = parse_map_lines(args.map_lines)
-    # The burst hot path lives behind the swappable kernel interface;
-    # the scalar kernel keeps the memoized per-frame reference path.
-    kernel = make_kernel(args.kernel, routes,
-                         rewrite_ttl=args.kernel_rewrite)
-    recorder.note("worker.kernel", ts=time.monotonic(), vri=args.vri_id,
-                  kind=kernel.describe())
-    api = VriSideApi(args.vri_id, args.data_in, args.data_out,
-                     args.ctrl_in, args.ctrl_out,
-                     report_service_rate=args.report_service_rate,
-                     report_every=64,
-                     arena_name=args.arena,
-                     arena_reclaim=args.arena_reclaim)
-    # Worker-local telemetry: a *fresh* registry (never the process-wide
-    # default — a forked child would inherit the monitor's instruments),
-    # using the same family names as the DES VriRuntime so the merged
-    # cluster view and a DES run expose identical metric names.
-    registry = Registry()
-    vri_label = str(args.vri_id)
-    c_frames = registry.counter(
-        "vri_frames_total", "frames the VRI popped from its incoming ring",
-        vri=vri_label)
-    c_forwarded = registry.counter(
-        "vri_forwarded_total", "frames the VRI routed and handed back",
-        vri=vri_label)
-    c_no_route = registry.counter(
-        "vri_dropped_no_route_total",
-        "frames dropped because LPM found no route", vri=vri_label)
-    c_stats_sent = registry.counter(
-        "vri_stats_snapshots_total", "registry snapshots shipped upstream",
-        vri=vri_label)
-    c_stats_abandoned = registry.counter(
-        "vri_stats_abandoned_total",
-        "snapshots abandoned mid-send because the control ring filled",
-        vri=vri_label)
-    c_overflow = registry.counter(
-        "vri_dropped_overflow_total",
-        "routed frames dropped because the outgoing ring was full",
-        vri=vri_label)
-    c_wait_sleeps = registry.counter(
-        "wait_sleeps_total",
-        "idle sleeps taken by the worker's wait policy", vri=vri_label)
-    c_lpm_hits = registry.counter(
-        "lpm_cache_hit_total",
-        "cached-LPM lookups answered from the route table's result cache",
-        vri=vri_label)
-    c_lpm_misses = registry.counter(
-        "lpm_cache_miss_total",
-        "cached-LPM lookups that had to walk the trie", vri=vri_label)
-    h_batch = registry.histogram(
-        "ring_batch_size", "records moved per ring transaction",
-        buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256),
-        vri=vri_label, side="worker")
-    policy = WaitPolicy()
-    sleeps_seen = 0
-    lpm_hits_seen = lpm_misses_seen = 0
-    # Burst ceiling scales with ring depth (256 at the default 1024):
-    # deeper rings exist to amortize hand-offs further, so the batcher
-    # must be allowed to follow them up.
-    ring_cap = api.data_in.capacity
-    batcher = AimdBatcher(_BURST_LO,
-                          max(_BURST_HI, min(1024, ring_cap // 8)))
-    stats_gen = 0
-    # Largest KIND_STATS payload one control slot carries.
-    stats_budget = (api.ctrl_out.max_record
-                    - ControlEvent(KIND_STATS, args.vri_id, 0).size)
+    loop = WorkerLoop(args, recorder)
+    step = loop.step
     deadline = time.monotonic() + args.max_lifetime
-    next_heartbeat = (time.monotonic() + args.heartbeat_interval
-                      if args.heartbeat_interval > 0 else float("inf"))
-    next_stats = (time.monotonic() + args.stats_interval
-                  if args.stats_interval > 0 else float("inf"))
     try:
         with recorder.on_error(reason=f"vri{args.vri_id} worker crashed"):
             while time.monotonic() < deadline:
-                now = time.monotonic()
-                if now >= next_heartbeat:
-                    # Liveness beacon to the monitor (dst 0 = LVRM).
-                    api.send_control(ControlEvent(
-                        KIND_HEARTBEAT, args.vri_id, 0,
-                        struct.pack("<d", now)))
-                    next_heartbeat = now + args.heartbeat_interval
-                if now >= next_stats:
-                    # Telemetry rides strictly behind the heartbeat
-                    # (pushed above when due): ship the snapshot chunk
-                    # by chunk, abandoning on the first full slot.
-                    # Sync the LPM cache counters by delta first — the
-                    # table keeps bare attributes so the hot path never
-                    # touches an instrument (same trick as wait sleeps).
-                    hits = getattr(routes, "cache_hits", 0)
-                    misses = getattr(routes, "cache_misses", 0)
-                    c_lpm_hits.inc(hits - lpm_hits_seen)
-                    c_lpm_misses.inc(misses - lpm_misses_seen)
-                    lpm_hits_seen, lpm_misses_seen = hits, misses
-                    stats_gen += 1
-                    chunks = encode_stats_chunks(registry.snapshot(),
-                                                 stats_gen, stats_budget)
-                    for chunk in chunks:
-                        if not api.send_control(ControlEvent(
-                                KIND_STATS, args.vri_id, 0, chunk)):
-                            c_stats_abandoned.inc()
-                            break
-                    else:
-                        c_stats_sent.inc()
-                    next_stats = now + args.stats_interval
-                event = api.recv_control()
-                if event is not None:
-                    recorder.note("worker.ctrl", ts=time.monotonic(),
-                                  vri=args.vri_id, kind=event.kind,
-                                  src=event.src_vri)
-                    if event.kind == KIND_STOP:
-                        return
-                    if event.kind == KIND_RESTART:
-                        # Informational: which restart attempt we are.
-                        (attempt,) = struct.unpack("<I", event.payload)
-                        recorder.note("worker.restarted",
-                                      ts=time.monotonic(),
-                                      vri=args.vri_id, attempt=attempt)
-                        continue
-                    if event.kind == KIND_PING:
-                        # Bounce pings back to the requested VRI through
-                        # LVRM.
-                        api.send_control(ControlEvent(
-                            KIND_PING, args.vri_id, event.src_vri,
-                            event.payload))
-                    continue
-
-                # Control stayed first; now drain an adaptive burst of
-                # data frames in one ring transaction each way.
-                if api.arena is not None:
-                    got = _serve_arena(api, kernel, batcher.size,
-                                       c_frames, c_forwarded, c_no_route,
-                                       c_overflow,
-                                       probe_frames=args.probe_frames)
-                else:
-                    got = _serve_copy(api, kernel, batcher.size,
-                                      c_frames, c_forwarded, c_no_route,
-                                      probe_frames=args.probe_frames)
-                batcher.update(got)
-                if got:
-                    h_batch.observe(got)
-                    policy.reset()
-                else:
-                    policy.idle()
-                    if policy.sleeps != sleeps_seen:
-                        c_wait_sleeps.inc(policy.sleeps - sleeps_seen)
-                        sleeps_seen = policy.sleeps
+                if step() == STOPPED:
+                    return
             recorder.note("worker.lifetime_expired", ts=time.monotonic(),
                           vri=args.vri_id)
     finally:
-        api.close()
+        loop.close()
 
 
 def _out_headroom(ring) -> int:

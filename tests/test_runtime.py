@@ -4,6 +4,9 @@ These spawn genuine child processes connected through shared-memory
 SPSC rings — slower than the DES tests, so counts stay modest.
 """
 
+import os
+import signal
+import threading
 import time
 
 import pytest
@@ -44,6 +47,45 @@ def test_round_robin_uses_both_workers():
         out = lvrm.drain_until(40, timeout=20.0)
     assert len(out) == 40
     assert {v for v, _i, _f in out} == {1, 2}
+
+
+def _proc_state(pid):
+    with open(f"/proc/{pid}/stat") as f:
+        return f.read().rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.timeout(60)
+def test_drain_until_calls_instance_drain_and_pump():
+    """``drain_until`` reaches ``drain`` and ``pump_control`` through the
+    instance, so wrappers set on the instance (the way ``bench/`` times
+    them) see every call it makes.  The worker sits stopped for the
+    first 50 ms, so some drains come back empty and the idle path runs."""
+    calls = {"drain": 0, "pump_control": 0}
+    frames = [_frame(payload=bytes([i]) * 32) for i in range(24)]
+    with RuntimeLvrm(n_vris=1, worker_lifetime=40.0) as lvrm:
+        for name in calls:
+            inner = getattr(lvrm, name)
+
+            def counted(*args, _inner=inner, _name=name, **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            setattr(lvrm, name, counted)
+        pid = lvrm.vris[0].process.pid
+        os.kill(pid, signal.SIGSTOP)
+        while _proc_state(pid) not in ("T", "t"):
+            time.sleep(1e-3)
+        resume = threading.Timer(0.05, os.kill, (pid, signal.SIGCONT))
+        resume.start()
+        try:
+            assert lvrm.dispatch_many(frames) == len(frames)
+            out = lvrm.drain_until(len(frames), timeout=20.0)
+        finally:
+            resume.join()
+    assert len(out) == len(frames)
+    assert sorted(f for _v, _i, f in out) == sorted(frames)
+    assert calls["drain"] >= 1
+    assert calls["pump_control"] >= 1
 
 
 @pytest.mark.timeout(60)

@@ -7,7 +7,13 @@ balancer="rr")`` on the copy and the arena data plane, with the
 forwarding rewrite on and off.  Every burst stays below ring capacity,
 so nothing is refused and each worker's output is a function of the
 input alone: round-robin hands single frames and whole bursts to the
-workers in turn, and each worker is FIFO.  What is pinned per case:
+workers in turn, and each worker is FIFO.
+
+``jsq_paused`` runs join-shortest-queue on the copy plane with the
+rewrite on.  Both workers are SIGSTOPped before the plan runs and
+resumed after it, so each ring's depth changes only by the monitor's
+own pushes and every pick (first lowest depth wins) follows from the
+plan alone.  What is pinned per case:
 
 * each VRI's output sequence as ``"iface:sha256 of the frame bytes"``;
 * the counter snapshot: per-VRI dispatched/drained on the monitor side,
@@ -27,8 +33,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import random
+import signal
 import sys
 import time
 from typing import Dict, List
@@ -44,6 +52,7 @@ GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "runtime_golden.json"
 
 CASES = {f"{plane}_rewrite_{'on' if rewrite else 'off'}": (plane, rewrite)
          for plane in ("copy", "arena") for rewrite in (False, True)}
+CASES["jsq_paused"] = ("copy", True, "jsq", True)
 
 #: Dispatch plan: ``1`` is a scalar ``dispatch()``, larger sizes are one
 #: ``dispatch_many()`` burst.  Under 100 frames reach each worker, far
@@ -93,20 +102,41 @@ def _worker_counters(obs_id: str, vri_id: int) -> Dict[str, int]:
     return out
 
 
-def run_case(plane: str, rewrite: bool, timeout: float = 20.0) -> Dict:
+def _wait_stopped(pid: int, timeout: float = 10.0) -> None:
+    """Block until ``pid`` is in the stopped state (SIGSTOP delivered)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rsplit(")", 1)[1].split()[0]
+        if state in ("T", "t"):
+            return
+        assert time.monotonic() < deadline, f"pid {pid} never stopped"
+        time.sleep(1e-3)
+
+
+def run_case(plane: str, rewrite: bool, balancer: str = "rr",
+             paused: bool = False, timeout: float = 20.0) -> Dict:
     frames = make_frames()
     outputs: Dict[int, List[str]] = {1: [], 2: []}
-    with RuntimeLvrm(n_vris=2, balancer="rr", data_plane=plane,
+    with RuntimeLvrm(n_vris=2, balancer=balancer, data_plane=plane,
                      kernel_rewrite=rewrite, stats_interval=0.02,
                      worker_lifetime=60.0) as lvrm:
-        pos = 0
-        for size in PLAN:
-            chunk = frames[pos:pos + size]
-            pos += size
-            if size == 1:
-                assert lvrm.dispatch(chunk[0])
-            else:
-                assert lvrm.dispatch_many(chunk) == size
+        pids = [v.process.pid for v in lvrm.vris] if paused else []
+        try:
+            for pid in pids:
+                os.kill(pid, signal.SIGSTOP)
+                _wait_stopped(pid)
+            pos = 0
+            for size in PLAN:
+                chunk = frames[pos:pos + size]
+                pos += size
+                if size == 1:
+                    assert lvrm.dispatch(chunk[0])
+                else:
+                    assert lvrm.dispatch_many(chunk) == size
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
 
         def collect():
             for vri_id, iface, frame in lvrm.drain():

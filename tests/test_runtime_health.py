@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.errors import RuntimeBackendError
 from repro.net.addresses import ip_to_int
 from repro.net.packet import build_udp_frame
 from repro.runtime import RuntimeLvrm
@@ -45,6 +46,35 @@ def test_respawn_noop_when_all_alive():
     with RuntimeLvrm(n_vris=2, worker_lifetime=60.0) as lvrm:
         assert lvrm.dead_workers() == []
         assert lvrm.respawn_dead() == 0
+
+
+@pytest.mark.timeout(90)
+def test_failed_respawn_leaves_no_closed_handle(monkeypatch):
+    """A replacement spawn that raises leaves the pool one worker short:
+    the retired handle is gone from ``vris``, every remaining ring is
+    still readable, and ``stop()`` unlinks every segment."""
+    before = _shm_entries()
+    lvrm = RuntimeLvrm(n_vris=2, worker_lifetime=60.0)
+    try:
+        victim, survivor = lvrm.vris
+        victim.process.kill()
+        victim.process.join(5.0)
+
+        def failing_spawn(vri_id, core_id):
+            raise RuntimeBackendError("spawn refused")
+
+        monkeypatch.setattr(lvrm, "_spawn", failing_spawn)
+        with pytest.raises(RuntimeBackendError):
+            lvrm.respawn_dead()
+        monkeypatch.undo()
+        assert len(lvrm.vris) == 1 and lvrm.vris[0] is survivor
+        assert all(len(ring) >= 0 for v in lvrm.vris for ring in v.rings())
+    finally:
+        lvrm.stop()
+    assert lvrm.vris == []
+    after = _shm_entries()
+    if after is not None:
+        assert after - before == set()
 
 
 @pytest.mark.timeout(90)
