@@ -825,6 +825,9 @@ class Lvrm:
         spans = self.spans
         tally = self._tally
         nics, set_notify = self._nics, self._set_notify
+        # A NIC-fronting capture counts its queued frames: with none
+        # counted the poll is skipped (see repro.net.nic.RxTally).
+        rx = capture.rx_tally if nics is not None else None
         notify = self._notify_cb
         # A backend's CPU-time classes are fixed when it is built.
         rx_class, tx_class = capture.rx_time_class, capture.tx_time_class
@@ -846,7 +849,7 @@ class Lvrm:
 
             # 2. Capture one frame: classify, (maybe) allocate, balance,
             # dispatch.  Then (interleaved) transmit one.
-            frame = capture.poll()
+            frame = capture.poll() if rx is None or rx.queued else None
             progress = frame is not None
             if progress:
                 cost = capture.rx_cost(frame)
@@ -1030,15 +1033,16 @@ class Lvrm:
             if nics is not None:
                 # NICs are externally driven: never exhausted, never
                 # paced (the CaptureBackend defaults _NicBackend keeps).
-                park = self._park = Event(sim)
-                backlog = False
+                # Nothing is counted queued here (a count polls, and a
+                # poll with frames counted returns one or raises), and
+                # nothing ran since: a frame in a ring is one the tally
+                # missed, which no poll would ever take.
                 for nic in nics:
-                    nic.notify = notify
                     if nic.rx_ring.items:
-                        backlog = True
-                if backlog:
-                    # A frame slipped in before arming: don't sleep on it.
-                    notify()
+                        raise RuntimeError("rx tally out of step: a "
+                                           "frame is queued uncounted")
+                    nic.notify = notify
+                park = self._park = Event(sim)
             else:
                 exhausted = capture.exhausted
                 if exhausted and not self.done.triggered \

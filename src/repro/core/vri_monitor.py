@@ -47,6 +47,11 @@ class VriMonitor:
         self.machine = machine
         self.costs = costs
         self.balancer = balancer
+        #: The scheme's bare decision when its ``pick`` is the shared
+        #: wrapper (empty check + trace event): untraced, :meth:`pick`
+        #: checks for VRIs itself and calls this directly.
+        self._choose = (balancer.choose
+                        if type(balancer).pick is LoadBalancer.pick else None)
         self.lvrm_core_id = lvrm_core_id
         self.queue_capacity = queue_capacity
         self.rng_registry = rng_registry
@@ -237,9 +242,13 @@ class VriMonitor:
         return self.balancer.decision_cost(self.costs, len(self.vris))
 
     def pick(self, frame, now: float) -> VriRuntime:
-        if not self.vris:
+        vris = self.vris
+        if not vris:
             raise AllocationError(f"VR {self.spec.name}: no live VRI")
-        return self.balancer.pick(frame, self.vris, now)
+        choose = self._choose
+        if choose is not None and not _TRACE.enabled:
+            return choose(frame, vris, now)
+        return self.balancer.pick(frame, vris, now)
 
     def deliver(self, frame, vri: VriRuntime, now: float) -> bool:
         """Push the frame into the chosen VRI's incoming data queue and

@@ -52,6 +52,10 @@ SCENARIO_SLO_RULES = (
 #: see repro.overload.classify).
 OVERLOAD_DST_PORTS = (179, 5000, 40000)
 
+#: Frames per ``dispatch_many`` call in the runtime overload drill (well
+#: under the default 1,024-slot ring).
+_DRILL_BLOCK = 64
+
 
 def _overload_report(policy: str, offered_x: float, controller) -> Dict:
     """The ``overload`` section shared by both scenario reports."""
@@ -316,7 +320,10 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
     if drill:
         # One frame per default priority class (ports spread across
         # OVERLOAD_DST_PORTS), cycled so the admission stage sees all
-        # classes; overload_x scales how many are offered per loop turn.
+        # classes.  The offer tracks service: each loop turn offers
+        # overload_x times what the previous turn drained (at least
+        # ``burst``), so "4x" stays four times what the workers serve
+        # however fast they are.
         frames = tuple(build_udp_frame(
             0x02, 0x03, ip_to_int("10.1.1.2"), ip_to_int("10.2.1.2"),
             10_000 + i, port, b"overload-drill")
@@ -354,6 +361,7 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
     pending = sorted(runnable, key=lambda f: f.t)
     dispatched = drained = offered = 0
     drained_after_restart = 0
+    last_got = 0
     try:
         if profile is not None:
             profile.enable()
@@ -382,12 +390,20 @@ def run_runtime_scenario(schedule: FaultSchedule, duration: float = 5.0,
                                        cat="fault", track="lvrm",
                                        kind=spec.kind, vri=victim.vri_id)
             if lvrm.vris:
-                for _ in range(burst):
-                    frame = frames[offered % len(frames)]
-                    offered += 1
-                    if lvrm.dispatch(frame):
-                        dispatched += 1
-            got = len(lvrm.drain())
+                n = burst
+                if drill:
+                    n = max(burst, int(round(overload_x * last_got)))
+                batch = [frames[(offered + i) % len(frames)]
+                         for i in range(n)]
+                offered += n
+                # Admission samples ring occupancy when a dispatch call
+                # starts: blocks well under a ring's capacity let it
+                # see the rings filling during a long offer, not only
+                # the rings the workers emptied while this loop slept.
+                for i in range(0, n, _DRILL_BLOCK):
+                    dispatched += lvrm.dispatch_many(
+                        batch[i:i + _DRILL_BLOCK])
+            got = last_got = len(lvrm.drain())
             drained += got
             if supervisor.restarts > 0:
                 drained_after_restart += got

@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.hardware.costs import CostModel
 from repro.net.frame import Frame
-from repro.net.nic import Nic
+from repro.net.nic import Nic, RxTally
 from repro.sim.engine import Simulator
 
 __all__ = ["CaptureBackend", "RawSocketCapture", "PfRingCapture",
@@ -77,6 +77,11 @@ class _NicBackend(CaptureBackend):
         self.nics: List[Nic] = list(nics)
         self.costs = costs
         self._next_nic = 0
+        #: Frames queued across all these NICs: a poller with nothing
+        #: counted need not call :meth:`poll`.
+        self.rx_tally = RxTally(sum(len(nic.rx_ring) for nic in self.nics))
+        for nic in self.nics:
+            nic.rx_tally = self.rx_tally
 
     def poll(self) -> Optional[Frame]:
         """Round-robin poll across interfaces, one ring pop per call."""
@@ -87,11 +92,15 @@ class _NicBackend(CaptureBackend):
             nic = nics[(start + offset) % n]
             # An empty ring is skipped without the pop call (which would
             # return None for it anyway); a non-empty one is popped
-            # directly (``nic.poll()`` is this same ``try_get``).
+            # directly (``nic.poll()``, spelled out).
             ring = nic.rx_ring
             if ring.items:
                 self._next_nic = (start + offset + 1) % n
+                nic.rx_tally.queued -= 1
                 return ring.try_get()
+        if self.rx_tally.queued:
+            raise RuntimeError("rx tally out of step: frames counted but "
+                               "every rx ring is empty")
         return None
 
     def backlog(self) -> int:

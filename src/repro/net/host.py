@@ -30,33 +30,29 @@ class Host:
         self.handler: Optional[Callable[[Frame], None]] = None
         self.rx_count = 0
         self.tx_count = 0
-        self._handle_cb = self._handle
-        self._transmit_cb = self._transmit
 
     def attach_tx(self, link: Link) -> None:
         self.tx_link = link
 
     # -- wire side (Endpoint protocol) ----------------------------------------
     def receive(self, frame: Frame) -> None:
+        handler = self.handler
         self.rx_count += 1
-        if self.handler is not None:
+        if handler is not None:
+            # The stack delay ends in the handler itself: one hop event.
             sim = self.sim
-            sim.call_at(sim._now + self.costs.host_stack_latency,
-                        self._handle_cb, arg=frame)
-
-    def _handle(self, frame: Frame) -> None:
-        self.handler(frame)  # type: ignore[misc]
+            sim.hop_at(sim._now + self.costs.host_stack_latency,
+                       handler, frame)
 
     # -- application side -----------------------------------------------------
     def send(self, frame: Frame) -> None:
         """Push a frame down the stack and onto the wire."""
-        if self.tx_link is None:
+        tx_link = self.tx_link
+        if tx_link is None:
             raise RuntimeError(f"host {self.name!r} has no tx link")
         self.tx_count += 1
-        # call_in(), spelled out (once per frame sent).
+        # The stack delay ends in the link's own send: one hop event,
+        # no host-side callback in between.
         sim = self.sim
-        sim.call_at(sim._now + self.costs.host_stack_latency,
-                    self._transmit_cb, arg=frame)
-
-    def _transmit(self, frame: Frame) -> None:
-        self.tx_link.send(frame)  # type: ignore[union-attr]
+        sim.hop_at(sim._now + self.costs.host_stack_latency,
+                   tx_link.send, frame)

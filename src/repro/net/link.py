@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Optional, Protocol
 
 from repro.net.frame import Frame
-from repro.sim.engine import NORMAL, Simulator, _Call, _heappush
+from repro.sim.engine import Simulator
 
 __all__ = ["Link", "Endpoint", "GIGABIT"]
 
@@ -76,10 +76,8 @@ class Link:
         if self._in_flight >= self.queue_frames:
             self.dropped += 1
             return False
-        # frame.wire_time(), max(now, free_at) and
-        # sim.call_at(arrival, self._deliver, arg=frame), spelled out:
-        # this runs once per frame per hop.  The heap entry is the one
-        # call_at would push, its ``now + (t - now)`` key included.
+        # frame.wire_time() and max(now, free_at), spelled out: this
+        # runs once per frame per hop.
         sim = self.sim
         now = sim._now
         free_at = self._free_at
@@ -89,10 +87,7 @@ class Link:
         self._in_flight += 1
         self.sent += 1
         self.bytes_sent += frame.size
-        arrival = free_at + self.latency
-        sim._seq += 1
-        _heappush(sim._heap, (now + (arrival - now), NORMAL, sim._seq,
-                              _Call(sim, self._deliver_cb, frame)))
+        sim.hop_at(free_at + self.latency, self._deliver_cb, frame)
         return True
 
     def _deliver(self, frame: Frame) -> None:

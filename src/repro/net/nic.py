@@ -16,7 +16,24 @@ from repro.net.link import Link
 from repro.sim.resources import Store
 from repro.sim.engine import Simulator
 
-__all__ = ["Nic"]
+__all__ = ["Nic", "RxTally"]
+
+
+class RxTally:
+    """Frames waiting in the rx rings of a set of NICs.
+
+    :meth:`Nic.receive` bumps it for every frame a ring accepts, and
+    the pop that takes a frame out (:meth:`Nic.poll`, a capture
+    backend's poll) drops it.  Nothing else touches the rings, so a
+    poller asks "is anything queued?" with one read.  A capture backend
+    gives all its NICs one tally; a count that disagrees with the rings
+    raises where it shows (see ``Lvrm._run``).
+    """
+
+    __slots__ = ("queued",)
+
+    def __init__(self, queued: int = 0) -> None:
+        self.queued = queued
 
 
 class Nic:
@@ -28,6 +45,11 @@ class Nic:
         self.name = name
         self.rx_ring: Store = Store(sim, capacity=rx_ring_size)
         self.tx_link: Optional[Link] = None
+        #: What :meth:`receive` stamps as ``frame.in_iface``.
+        self._iface_id = id(self)
+        #: Counts this ring's frames (shared with the other NICs of a
+        #: capture backend once one is built over them).
+        self.rx_tally = RxTally()
         self.rx_count = 0
         self.rx_dropped = 0
         self.tx_count = 0
@@ -39,9 +61,10 @@ class Nic:
     # -- wire side --------------------------------------------------------------
     def receive(self, frame: Frame) -> None:
         """Endpoint protocol: frame arrives from the wire."""
-        frame.in_iface = id(self)
+        frame.in_iface = self._iface_id
         if self.rx_ring.try_put(frame):
             self.rx_count += 1
+            self.rx_tally.queued += 1
             if self.notify is not None:
                 notify, self.notify = self.notify, None
                 notify()
@@ -65,11 +88,10 @@ class Nic:
 
     def poll(self) -> Optional[Frame]:
         """Non-blocking rx-ring pop (the socket adapter's polling path)."""
-        return self.rx_ring.try_get()
-
-    def wait_frame(self):
-        """Blocking rx-ring get (event for DES consumers)."""
-        return self.rx_ring.get()
+        frame = self.rx_ring.try_get()
+        if frame is not None:
+            self.rx_tally.queued -= 1
+        return frame
 
     @property
     def rx_backlog(self) -> int:

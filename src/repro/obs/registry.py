@@ -21,6 +21,7 @@ distinct counters, so per-instance read-through views stay correct.
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -168,6 +169,8 @@ class Registry:
         self._instruments: Dict[Tuple[str, LabelItems], object] = {}
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
+        #: Deferred writers by key (see :meth:`deferred`), held weakly.
+        self._deferred = weakref.WeakValueDictionary()
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -199,14 +202,43 @@ class Registry:
                   **labels) -> Histogram:
         return self._get("histogram", name, help_, labels, buckets=buckets)
 
+    # -- deferred writers --------------------------------------------------
+    def deferred(self, key, factory: Callable[[], object]) -> object:
+        """The one deferred writer for ``key``, made by ``factory()`` on
+        first ask (later asks get the same object).
+
+        A deferred writer buffers observations bound for instruments of
+        this registry and applies them in its ``fold()``, which must be
+        safe to call from any thread.  Every read path here
+        (:meth:`instruments`, :meth:`find`, :meth:`snapshot`,
+        :meth:`merge`, :meth:`clear`) folds the writers first, so no
+        reader sees an instrument lag.  The registry holds writers
+        weakly: a writer lives as long as the components using it,
+        which fold it before they go.
+        """
+        writer = self._deferred.get(key)
+        if writer is None:
+            writer = factory()
+            self._deferred[key] = writer
+        return writer
+
+    def fold(self) -> None:
+        """Apply every deferred writer's buffered observations."""
+        for ref in self._deferred.valuerefs():
+            writer = ref()
+            if writer is not None:
+                writer.fold()
+
     # -- scrape side -------------------------------------------------------
     def instruments(self) -> List[object]:
         """All instruments, grouped by family name (stable order)."""
+        self.fold()
         return [self._instruments[k] for k in sorted(self._instruments)]
 
     def find(self, name: str, **labels) -> List[object]:
         """Instruments of family ``name`` whose labels include ``labels``
         (a subset match: extra labels on the instrument are fine)."""
+        self.fold()
         want = set(_label_items(labels))
         return [inst for (n, li), inst in sorted(self._instruments.items())
                 if n == name and want <= set(li)]
@@ -256,6 +288,7 @@ class Registry:
         if snapshot.get("v") != 1:
             raise ConfigError(
                 f"unknown registry snapshot version: {snapshot.get('v')!r}")
+        self.fold()
         merged = 0
         for entry in snapshot.get("metrics", ()):
             labels = dict(entry.get("labels", {}))
@@ -294,6 +327,8 @@ class Registry:
     def clear(self) -> None:
         """Drop every instrument (kept in place: live references held by
         components keep counting, they just stop being exported)."""
+        self.fold()
+        self._deferred.clear()
         self._instruments.clear()
         self._kinds.clear()
         self._help.clear()

@@ -33,9 +33,14 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
+import weakref
+from array import array
 from bisect import bisect_left
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.obs.quantiles import LATENCY_BUCKETS
 from repro.obs.registry import Registry, default_registry
@@ -139,6 +144,105 @@ class FrameSpan:
                            for k, v in self.phases().items()) + ">")
 
 
+#: Deferred spans are folded at least this often, which bounds the
+#: stamp buffer (and the floats it keeps alive) whoever reads or not.
+_FOLD_SPANS = 1024
+
+
+def _span_of(stamps: Tuple) -> FrameSpan:
+    """The :class:`FrameSpan` of ``(t_start, t_push, t_pop, t_done,
+    t_drained, vri_id, vr)``, as :meth:`SpanRecorder.record_stamps`
+    builds it."""
+    t_start, t_push, t_pop, t_done, t_drained, vri_id, vr = stamps
+    return FrameSpan(t_drained, t_push - t_start, t_pop - t_push,
+                     t_done - t_pop, t_drained - t_done, vri_id, vr)
+
+
+class _SpanFold:
+    """The deferred writer of one label set's five phase histograms.
+
+    :meth:`SpanRecorder.record_stamps` appends each span's five stamps
+    to the flat list :attr:`stamps`; :meth:`fold` turns them into
+    histogram updates in one vectorised pass, exactly as folding each
+    span on arrival would leave them:
+
+    * ``bisect_left`` is ``np.searchsorted(..., side="left")``, and the
+      per-bucket increments one ``np.bincount``;
+    * a duration that is not ``> 0.0`` (negative, ``-0.0``, NaN) is
+      observed as ``0.0``;
+    * ``sum`` is ``np.add.accumulate`` seeded with the running sum, so
+      the float is added left to right, bit for bit (``np.sum`` would
+      add pairwise).
+
+    A fold may run on another thread than the appends (a registry read
+    from a scrape thread, a collector's finalizer): folds hold
+    :attr:`lock`, and each takes only the whole spans buffered when it
+    starts off the front of the list, so a span appended meanwhile
+    waits for the next fold, and none is folded twice.  The lock is
+    re-entrant because a fold allocates, so the cyclic collector may
+    run the owner's finalizer (another fold of this writer) inside it.
+
+    The registry finds this object by its histograms
+    (:meth:`Registry.deferred`) and holds it weakly; the recorders
+    using it hold it, and the owner folds it when it goes.  It refers
+    to nothing but the histograms.
+    """
+
+    __slots__ = ("hists", "bounds", "stamps", "folded", "owned", "lock",
+                 "__weakref__")
+
+    def __init__(self, hists: Tuple):
+        self.hists = hists
+        self.bounds = tuple(np.asarray(h.buckets, dtype=float)
+                            for h in hists)
+        self.stamps: List[float] = []
+        #: Spans folded so far (all from the owning recorder).
+        self.folded = 0
+        #: Whether a recorder defers into this writer (the first DES
+        #: one on the label set does).
+        self.owned = False
+        self.lock = threading.RLock()
+
+    def recorded(self) -> int:
+        """Spans appended so far, folded or not."""
+        with self.lock:
+            return self.folded + len(self.stamps) // 5
+
+    def fold(self) -> None:
+        with self.lock:
+            stamps = self.stamps
+            if not stamps:
+                return
+            # One append adds a whole span (a single list extend), and
+            # the copy runs without a thread switch: ``chunk`` holds
+            # whole spans, and the delete keeps any appended since.
+            chunk = array("d", stamps)
+            del stamps[:len(chunk)]
+            self._fold(chunk)
+
+    def _fold(self, chunk: array) -> None:
+        n = len(chunk) // 5
+        times = np.frombuffer(chunk).reshape(n, 5).T
+        durations = np.empty((5, n))
+        with np.errstate(invalid="ignore", over="ignore"):
+            # Python floats make inf - inf a NaN silently; so do these.
+            np.subtract(times[1:], times[:-1], out=durations[:4])
+            np.add(durations[0], durations[1], out=durations[4])
+            durations[4] += durations[2]
+            durations[4] += durations[3]
+        durations[~(durations > 0.0)] = 0.0
+        for hist, bounds, row in zip(self.hists, self.bounds, durations):
+            counts = hist.counts
+            binned = np.bincount(np.searchsorted(bounds, row, side="left"),
+                                 minlength=len(counts))
+            for i in np.flatnonzero(binned).tolist():
+                counts[i] += int(binned[i])
+            hist.sum = float(np.add.accumulate(
+                np.concatenate(((hist.sum,), row)))[-1])
+            hist.count += n
+        self.folded += n
+
+
 class SpanRecorder:
     """Collects frame spans into histograms + a bounded recent window.
 
@@ -151,6 +255,16 @@ class SpanRecorder:
     * Histograms are registered lazily per ``phase`` label under
       ``frame_latency_seconds`` with the given extra labels, so two
       recorders (two monitors) in one process stay distinct.
+    * On the DES backend (``backend="des"``) spans fold into the
+      histograms on read (see :class:`_SpanFold`): :meth:`record_stamps`
+      only appends, and every read — this class's :meth:`percentiles`
+      and :meth:`jsonl`, and the registry's (snapshot, merge, export,
+      :class:`~repro.obs.slo.SloWatchdog` evaluation) — folds first.
+      Its :class:`FrameSpan` objects are built when :attr:`recent` is
+      read, for the window only.  With the tracer on, for a second
+      recorder on the same label set, and on any other backend (whose
+      spans are sampled 1-in-N, so there is little to batch), each span
+      is folded on arrival instead.
     """
 
     METRIC = "frame_latency_seconds"
@@ -170,13 +284,22 @@ class SpanRecorder:
         self.backend = backend
         self.labels = dict(labels or {})
         self.labels.setdefault("backend", backend)
-        self.recent: Deque[FrameSpan] = deque(maxlen=keep)
-        self.recorded = 0
+        #: The recent window: FrameSpans, and the raw stamp tuples of
+        #: deferred spans until :attr:`recent` builds their FrameSpans.
+        self._recent: Deque = deque(maxlen=keep)
+        #: Spans this recorder folded on arrival (the deferred ones are
+        #: counted by its writer).
+        self._eager = 0
         self._tick = 0
         self._hists: Dict[str, object] = {}
-        #: The five ``frame_latency_seconds`` histograms :meth:`record`
-        #: feeds, in PHASES-then-total order (resolved on first use).
+        #: The five ``frame_latency_seconds`` histograms, in
+        #: PHASES-then-total order, and their deferred writer (resolved
+        #: on first use: no span, no histogram family).
         self._phase_hists: Optional[Tuple] = None
+        self._writer: Optional[_SpanFold] = None
+        #: ``_writer`` when this recorder owns it (defers), else None:
+        #: only a DES recorder defers.
+        self._deferring: Optional[_SpanFold] = None
 
     @property
     def enabled(self) -> bool:
@@ -218,26 +341,45 @@ class SpanRecorder:
             self._hists[phase] = hist
         return hist
 
+    def _resolve(self) -> Tuple:
+        """Register the five histograms and find their writer.  The
+        first DES recorder on a label set owns the writer and defers;
+        any other one folds it before each of its own (eager) spans, so
+        spans sharing a histogram still add up in arrival order."""
+        hists = self._phase_hists = tuple(
+            self._hist(phase) for phase in PHASES + ("total",))
+        writer = self._writer = self.registry.deferred(
+            (self.METRIC,) + tuple(id(h) for h in hists),
+            lambda: _SpanFold(hists))
+        if self.backend == "des" and not writer.owned:
+            writer.owned = True
+            self._deferring = writer
+            # Spans still buffered when this recorder goes are folded
+            # then, for the registry's readers, which outlive it.
+            weakref.finalize(self, writer.fold).atexit = False
+        return hists
+
     def record(self, span: FrameSpan) -> None:
+        """Fold one span into the histograms now (the eager path)."""
         hists = self._phase_hists
         if hists is None:
-            # Resolved on the first span, in PHASES-then-total order
-            # (registration stays lazy: no span, no histogram family).
-            hists = self._phase_hists = tuple(
-                self._hist(phase) for phase in PHASES + ("total",))
+            hists = self._resolve()
+        writer = self._writer
+        if writer.stamps:
+            # Earlier spans first: the sums add in arrival order.
+            writer.fold()
         durations = (span.dispatch, span.ring_wait, span.service,
                      span.drain, span.total)
         for hist, dur in zip(hists, durations):
-            # hist.observe(max(0.0, dur)), spelled out (five per span,
-            # and the DES records every frame): negatives and -0.0
-            # read 0.0.
+            # hist.observe(max(0.0, dur)), spelled out: negatives, -0.0
+            # and NaN read 0.0.
             if not dur > 0.0:
                 dur = 0.0
             hist.counts[bisect_left(hist.buckets, dur)] += 1
             hist.sum += dur
             hist.count += 1
-        self.recent.append(span)
-        self.recorded += 1
+        self._recent.append(span)
+        self._eager += 1
         if TRACER.enabled:
             TRACER.complete("frame.span", ts=span.ts - span.total,
                             dur=span.total, cat="span",
@@ -247,16 +389,44 @@ class SpanRecorder:
 
     def record_stamps(self, t_start: float, t_push: float, t_pop: float,
                       t_done: float, t_drained: float,
-                      vri_id: Optional[int] = None, vr: str = "") -> FrameSpan:
-        """Build and record a span from the five pipeline timestamps."""
-        span = FrameSpan(t_drained, t_push - t_start, t_pop - t_push,
-                         t_done - t_pop, t_drained - t_done, vri_id, vr)
-        self.record(span)
-        return span
+                      vri_id: Optional[int] = None, vr: str = "") -> None:
+        """Record a span from the five pipeline timestamps.  It is
+        appended to the writer's buffer and folded on the next read (or
+        when the buffer fills); with the tracer on, it is folded now."""
+        writer = self._deferring
+        if writer is None or TRACER.enabled:
+            self.record(FrameSpan(t_drained, t_push - t_start,
+                                  t_pop - t_push, t_done - t_pop,
+                                  t_drained - t_done, vri_id, vr))
+            return
+        stamps = writer.stamps
+        stamps += (t_start, t_push, t_pop, t_done, t_drained)
+        self._recent.append(
+            (t_start, t_push, t_pop, t_done, t_drained, vri_id, vr))
+        if len(stamps) >= _FOLD_SPANS * 5:
+            writer.fold()
 
     # -- read paths ---------------------------------------------------------
+    @property
+    def recent(self) -> Deque[FrameSpan]:
+        """The last ``keep`` spans, oldest first (a copy: safe to read
+        while spans are recorded on another thread)."""
+        window = tuple(self._recent)
+        return deque((_span_of(span) if type(span) is tuple else span
+                      for span in window), maxlen=self._recent.maxlen)
+
+    @property
+    def recorded(self) -> int:
+        """Spans recorded so far."""
+        writer = self._deferring
+        if writer is None:
+            return self._eager
+        return self._eager + writer.recorded()
+
     def percentiles(self) -> Dict[str, Dict[str, float]]:
         """``{phase: {"p50": ..., "p95": ..., "p99": ...}}`` so far."""
+        if self._writer is not None:
+            self._writer.fold()
         out: Dict[str, Dict[str, float]] = {}
         for phase in PHASES + ("total",):
             hist = self._hists.get(phase)

@@ -216,6 +216,29 @@ class _Call(Event):
             fn(self)
 
 
+class _PooledCall(Event):
+    """A recyclable ``fn(arg)`` event: the per-frame network hop (see
+    :meth:`Simulator.hop_at`).
+
+    Returned to the simulator's free list just before ``fn(arg)`` runs,
+    so a hop that schedules the next hop reuses it.  It is never handed
+    out: nothing can wait on it or add a callback to it.
+    """
+
+    __slots__ = ("fn", "arg")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self.callbacks = None
+        self._value = None
+        self._ok = True
+        self._defused = False
+
+    def _process(self) -> None:
+        self.sim._call_pool.append(self)
+        self.fn(self.arg)
+
+
 class Simulator:
     """The event loop.
 
@@ -234,8 +257,10 @@ class Simulator:
         #: Events processed since construction (a plain int so the hot
         #: loop pays one add; exported at trace/metrics time).
         self.events_processed: int = 0
-        #: Free list of processed :class:`_PooledTimeout` events.
+        #: Free lists of processed :class:`_PooledTimeout` and
+        #: :class:`_PooledCall` events.
         self._timeout_pool: list = []
+        self._call_pool: list = []
 
     # -- clock ----------------------------------------------------------------
     @property
@@ -324,6 +349,24 @@ class Simulator:
         """Run a plain callback after ``delay`` seconds."""
         return self.call_at(self._now + delay, fn, urgent=urgent, arg=arg)
 
+    def hop_at(self, time: float, fn: Callable[[Any], None],
+               arg: Any) -> None:
+        """``call_at(time, fn, arg=arg)`` for a per-frame hop (a link
+        delivery, a host stack delay): the same heap entry, its
+        ``now + (time - now)`` key included, but on a pooled event that
+        is recycled once run, so nothing is returned to wait on.
+        ``time`` is not checked against ``now``."""
+        pool = self._call_pool
+        if pool:
+            ev = pool.pop()
+        else:
+            ev = _PooledCall(self)
+        ev.fn = fn
+        ev.arg = arg
+        now = self._now
+        self._seq += 1
+        _heappush(self._heap, (now + (time - now), NORMAL, self._seq, ev))
+
     # -- scheduling internals ---------------------------------------------------
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
         self._seq += 1
@@ -365,6 +408,7 @@ class Simulator:
             heap = self._heap
             heappop = heapq.heappop
             pool = self._timeout_pool
+            call_pool = self._call_pool
             horizon = float("inf") if until is None else until
             processed = 0
             try:
@@ -375,10 +419,13 @@ class Simulator:
                     self._now = time
                     processed += 1
                     try:
-                        # The three commonest event types get their
+                        # The four commonest event types get their
                         # ``_process()`` inlined.
                         cls = type(event)
-                        if cls is _PooledTimeout:
+                        if cls is _PooledCall:
+                            call_pool.append(event)
+                            event.fn(event.arg)
+                        elif cls is _PooledTimeout:
                             callbacks = event.callbacks
                             event.callbacks = None
                             for fn in callbacks:

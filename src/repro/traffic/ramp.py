@@ -74,37 +74,44 @@ class RampSender:
                 break
         return rate
 
-    def _emit(self) -> None:
-        frame = Frame(self.frame_size, self.host.ip, self.dst_ip,
-                      proto=PROTO_UDP, src_port=self.src_port,
-                      dst_port=self.dst_port, t_created=self.sim.now)
-        self.host.send(frame)
-        self.sent += 1
-
     def _run(self):
+        sim = self.sim
         try:
             first = self.schedule[0][0] + self.phase
-            if first > self.sim.now:
-                yield self.sim.timeout(first - self.sim.now)
+            if first > sim.now:
+                yield sim.timeout(first - sim.now)
             schedule = self.schedule
             end_of_schedule = schedule[-1][0]
+            host = self.host
+            sleep = sim.sleep
+            size, src_ip, dst_ip = self.frame_size, host.ip, self.dst_ip
+            src_port, dst_port = self.src_port, self.dst_port
             # rate_at(now), incrementally: sim time never goes back, so
-            # the count of schedule entries already started only grows.
+            # the count of schedule entries already started only grows,
+            # and the send interval changes only when it does.
             started = 0
+            rate = interval = 0.0
             while True:
-                now = self.sim.now
-                while started < len(schedule) and schedule[started][0] <= now:
-                    started += 1
-                rate = schedule[started - 1][1] if started else 0.0
+                now = sim._now
+                if started < len(schedule) and schedule[started][0] <= now:
+                    while (started < len(schedule)
+                           and schedule[started][0] <= now):
+                        started += 1
+                    rate = schedule[started - 1][1]
+                    if rate > 0.0:
+                        interval = max(1.0 / rate,
+                                       host.costs.sender_per_frame)
                 if rate <= 0.0:
-                    if self.sim.now >= end_of_schedule:
+                    if now >= end_of_schedule:
                         return "finished"
                     # Idle gap inside the schedule: sleep to the next step.
-                    nxt = min(t for t, _ in self.schedule if t > self.sim.now)
-                    yield self.sim.timeout(nxt - self.sim.now)
+                    nxt = min(t for t, _ in schedule if t > now)
+                    yield sim.timeout(nxt - now)
                     continue
-                self._emit()
-                interval = max(1.0 / rate, self.host.costs.sender_per_frame)
-                yield self.sim.sleep(interval)
+                host.send(Frame(size, src_ip, dst_ip, proto=PROTO_UDP,
+                                src_port=src_port, dst_port=dst_port,
+                                t_created=now))
+                self.sent += 1
+                yield sleep(interval)
         except Interrupt:
             return "stopped"

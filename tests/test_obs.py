@@ -487,8 +487,8 @@ def test_span_recorder_stamps_percentiles_and_jsonl():
     reg = obs.Registry()
     rec = SpanRecorder(reg, sample_every=1, backend="des",
                        labels={"lvrm": "9"})
-    span = rec.record_stamps(0.0, 1e-6, 3e-6, 7e-6, 8e-6,
-                             vri_id=3, vr="vr1")
+    rec.record_stamps(0.0, 1e-6, 3e-6, 7e-6, 8e-6, vri_id=3, vr="vr1")
+    (span,) = rec.recent
     assert span.dispatch == pytest.approx(1e-6)
     assert span.ring_wait == pytest.approx(2e-6)
     assert span.service == pytest.approx(4e-6)

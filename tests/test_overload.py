@@ -428,3 +428,26 @@ def test_runtime_scenario_drill_conserves_and_resumes():
     assert sum(c["offered"] for c in state["classes"].values()) \
         == report["offered"]
     assert report["resumed_ok"]
+
+
+@pytest.mark.timeout(120)
+def test_runtime_priority_shed_drill_sheds_bulk_never_control():
+    """The runtime drill's offer tracks service (overload_x times the
+    previous turn's drain), so at 4x the data rings fill whatever the
+    workers' speed, and priority-shed sheds bulk and never control."""
+    import pathlib
+
+    from repro.faults.scenario import run_runtime_scenario
+
+    path = (pathlib.Path(__file__).resolve().parent.parent / "examples"
+            / "configs" / "overload_priority.json")
+    opts = json.loads(path.read_text(encoding="utf-8"))["overload"]
+    report = run_runtime_scenario(_kill_schedule(), duration=2.0,
+                                  overload_policy=opts["policy"],
+                                  overload_x=4.0, overload_opts=opts)
+    classes = report["overload"]["state"]["classes"]
+    assert sum(c["shed"] for c in classes.values()) > 0
+    assert classes["control"]["shed"] == 0
+    for name, cls in classes.items():
+        assert cls["offered"] == cls["admitted"] + cls["shed"], name
+    assert report["resumed_ok"]

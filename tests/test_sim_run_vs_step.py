@@ -1,8 +1,8 @@
 """``Simulator.run()`` is ``step()`` in a loop, fast paths and all.
 
-``run()`` inlines the processing of pooled timeouts, ``call_at`` events
-and plain events; ``step()`` is the reference path that goes through
-each event's own ``_process()``.  Driving one randomly generated
+``run()`` inlines the processing of pooled timeouts, pooled hops,
+``call_at`` events and plain events; ``step()`` is the reference path
+that goes through each event's own ``_process()``.  Driving one randomly generated
 scenario with each must log the same ``(now, callback)`` sequence,
 return the same stop value, and process the same number of events.
 
@@ -16,6 +16,8 @@ import sys
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net import link
+from repro.net.frame import Frame
 from repro.sim import Interrupt, Simulator, StopSimulation
 from repro.sim import engine, process
 
@@ -34,8 +36,32 @@ SCENARIO = st.fixed_dictionaries({
                            max_size=3),
     "failures": st.lists(st.tuples(TIMES, st.booleans()), max_size=3),
     "parks": st.lists(st.tuples(TIMES, TIMES), max_size=3),
+    "hops": st.lists(st.tuples(TIMES, st.sampled_from([84, 1538]),
+                               st.booleans()), max_size=5),
     "stop_at": st.one_of(st.none(), TIMES),
 })
+
+
+class _Relay:
+    """Link endpoint that forwards into the next link after ``delay``
+    (a host stack's hop) or at once (a switch)."""
+
+    def __init__(self, sim, out, delay):
+        self.sim, self.out, self.delay = sim, out, delay
+
+    def receive(self, frame):
+        if self.delay:
+            self.sim.hop_at(self.sim.now + self.delay, self.out.send, frame)
+        else:
+            self.out.send(frame)
+
+
+class _Sink:
+    def __init__(self, note):
+        self.note = note
+
+    def receive(self, frame):
+        self.note(f"hop{frame.uid}.arrived:{frame.size}")
 
 
 def build(sim, log, spec):
@@ -126,6 +152,19 @@ def build(sim, log, spec):
         sim.call_at(t_wake, wake)
         sim.call_at(t_again, wake)
 
+    # Two-hop link chains: a 10 Mb/s link -> relay (a host stack's hop
+    # or none) -> one shared 1 Gb/s link -> sink.
+    last = link.Link(sim, _Sink(note), bandwidth=1e9, latency=5e-6)
+    for i, (t, size, stack_delay) in enumerate(spec["hops"]):
+        first = link.Link(sim, bandwidth=1e7, latency=0.05, name=f"l{i}")
+        first.connect(_Relay(sim, last, 0.1 if stack_delay else 0.0))
+        for uid in (i, 100 + i)[:1 + i % 2]:
+            # Odd chains send a second frame at once: it queues behind
+            # the first on the slow link.
+            frame = Frame(size, 1, 2)
+            frame.uid = uid
+            sim.call_at(t, first.send, arg=frame)
+
     if spec["stop_at"] is not None:
         sim.call_at(spec["stop_at"], lambda: sim.stop("stopped"))
 
@@ -163,6 +202,12 @@ FAST_PATHS = {
         engine.Simulator.run, "callbacks.clear()"),
     "step: pooled timeout recycled": (
         engine._PooledTimeout._process, "callbacks.clear()"),
+    "run: pooled hop recycled": (
+        engine.Simulator.run, "call_pool.append(event)"),
+    "step: pooled hop recycled": (
+        engine._PooledCall._process, "self.sim._call_pool.append(self)"),
+    "hop_at: recycled event reused": (
+        engine.Simulator.hop_at, "ev = pool.pop()"),
     "run: call_at event inlined": (
         engine.Simulator.run, "arg = event.arg"),
     "run: plain event inlined": (
@@ -217,19 +262,22 @@ def _executed_lines(drive, spec):
 def test_scenario_exercises_every_fast_path():
     """Not vacuous: one fixed scenario hits pooled timeouts, both call
     forms, an added callback, an interrupt, a join, a defused failure,
-    a park woken twice and the stop — and every path in FAST_PATHS."""
+    a park woken twice, a two-hop link chain and the stop — and every
+    path in FAST_PATHS."""
     spec = {"sleepers": [[0.1, 0.25, 0.1], [0.5]], "timeouts": [0.25],
             "calls": [(0.25, True, True, True), (0.25, False, False, True)],
             "joins": [0.1], "interrupts": [(1, 0.25)],
             "failures": [(0.1, True), (0.1, False)],
-            "parks": [(0.25, 0.1 + 0.2)], "stop_at": 0.75}
+            "parks": [(0.25, 0.1 + 0.2)],
+            "hops": [(0.1, 84, True), (0.1, 1538, False), (0.25, 84, False)],
+            "stop_at": 0.75}
     (log, result, now, events), by_run = _executed_lines(drive_run, spec)
     labels = [label for _t, label in log]
     assert result == "stopped" and now == 0.75
     for expected in ("sleeper0.woke0", "call0(0)", "call0.callback",
                      "call1", "call1.callback", "sleeper1.interrupted:poke",
                      "parent0:0", "failure0:f0", "timeout0.again:0",
-                     "park0:0"):
+                     "park0:0", "hop0.arrived:84", "hop1.arrived:1538"):
         assert expected in labels
     # Urgent call0 runs before the normal-priority events at t=0.25.
     assert labels.index("call0(0)") < labels.index("sleeper0.woke1")
